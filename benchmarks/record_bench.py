@@ -8,7 +8,7 @@ accountable for:
   batch path, and warm from a populated persistent cache;
 * the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold, both
   paths, plus a warm run from a populated cache;
-* cold ``repro all --jobs 1`` end to end, both paths, plus a warm run;
+* cold ``repro all`` end to end, both paths, plus a warm run;
 * the job queue (`repro queue` / `repro worker`) on a small grid —
   fill time, bookkeeping-only claim+complete drain, and the 1-vs-2
   worker drain wall times (recorded for the trajectory, not gated:
@@ -31,7 +31,7 @@ against the committed baseline). Run from the repo root::
 ``--compare BASELINE`` fails (exit 1) if any cold-batch or warm
 measurement regressed more than ``--tolerance`` (default 0.25 = 25%)
 over the baseline record's value. ``--profile OUT`` additionally
-writes a cProfile dump of one cold ``repro all --jobs 1`` run — open
+writes a cProfile dump of one cold ``repro all`` run — open
 it with ``python -m pstats OUT``.
 """
 
@@ -131,7 +131,7 @@ def _repro_all(cache_dir: Path) -> None:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         status = cli.main(
-            ["all", "--jobs", "1", "--cache-dir", str(cache_dir)]
+            ["all", "--cache-dir", str(cache_dir)]
         )
     if status not in (0, None):
         raise SystemExit(f"repro all failed with status {status}")
@@ -313,7 +313,7 @@ def record(rounds: int) -> dict:
 
 
 def profile_cold_all(out: Path) -> None:
-    """cProfile one cold ``repro all --jobs 1`` into ``out``."""
+    """cProfile one cold ``repro all`` into ``out``."""
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-prof-"))
     try:
         _repro_all(scratch / "cache")  # warm imports outside the profile
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile", metavar="OUT",
         help="also write a cProfile dump of one cold "
-        "'repro all --jobs 1' run to OUT",
+        "'repro all' run to OUT",
     )
     args = parser.parse_args(argv)
     payload = record(args.rounds)
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         else:
             print(
                 "OK: cold batch path is at least as fast as scalar "
-                f"({gate['cold_speedup']}x on repro all --jobs 1)"
+                f"({gate['cold_speedup']}x on repro all)"
             )
     if args.compare:
         baseline = json.loads(Path(args.compare).read_text())

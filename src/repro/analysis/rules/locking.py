@@ -5,7 +5,9 @@ Classes that share state across threads (``SweepEngine``,
 manifest — a class-level frozenset of attribute names — and this rule
 enforces the convention the docstrings only promise: every lexical
 ``self.<field>`` access to a manifest field happens inside a
-``with self._lock:`` block.
+``with self._lock:`` block. It also flags a manifest name the class
+never assigns as ``self.<field>``: a field deleted from the code but
+left in the manifest would otherwise linger unnoticed.
 
 Exemptions encode the repo's own conventions: ``__init__``/``__del__``
 (no concurrent callers exist yet / teardown), methods whose name ends
@@ -17,7 +19,7 @@ creator holds; lexical analysis cannot see the call site).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
@@ -28,9 +30,11 @@ LOCK_ATTR = "_lock"
 _EXEMPT_METHODS = ("__init__", "__del__")
 
 
-def _manifest_fields(cls: ast.ClassDef) -> Optional[Tuple[str, ...]]:
-    """The ``_lock_guarded`` names, or ``None`` when the class does
-    not declare a manifest."""
+def _manifest(
+    cls: ast.ClassDef,
+) -> Optional[Tuple[ast.stmt, Tuple[str, ...]]]:
+    """The ``_lock_guarded`` statement and its names, or ``None`` when
+    the class does not declare a manifest."""
     for stmt in cls.body:
         if isinstance(stmt, ast.Assign):
             targets = stmt.targets
@@ -45,8 +49,20 @@ def _manifest_fields(cls: ast.ClassDef) -> Optional[Tuple[str, ...]]:
                 isinstance(target, ast.Name)
                 and target.id == MANIFEST_ATTR
             ):
-                return _string_elements(value)
+                return stmt, _string_elements(value)
     return None
+
+
+def _assigned_self_fields(cls: ast.ClassDef) -> FrozenSet[str]:
+    """Every ``self.<name>`` the class body assigns, anywhere."""
+    return frozenset(
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
 
 
 def _string_elements(node: ast.expr) -> Tuple[str, ...]:
@@ -151,13 +167,25 @@ class _LockScan(ast.NodeVisitor):
 )
 def check_lock_discipline(ctx: FileContext) -> Iterator[Finding]:
     """Fields named in a class's ``_lock_guarded`` manifest must be
-    accessed lexically inside ``with self._lock``."""
+    assigned by the class and accessed lexically inside
+    ``with self._lock``."""
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        fields = _manifest_fields(node)
-        if not fields:
+        manifest = _manifest(node)
+        if manifest is None or not manifest[1]:
             continue
+        declaration, fields = manifest
+        assigned = _assigned_self_fields(node)
+        for field in sorted(set(fields) - assigned):
+            finding = ctx.finding(
+                check_lock_discipline,
+                declaration,
+                f"{field!r} is in {MANIFEST_ATTR} but {node.name} never "
+                f"assigns self.{field} (drop the stale entry)",
+            )
+            if finding is not None:
+                yield finding
         for stmt in node.body:
             if not isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -29,11 +29,10 @@ historical output), ``json``, ``csv``, or ``md`` (composable markdown
 sections — ``repro report --format md`` stacks them into an
 EXPERIMENTS.md). One invocation builds a single
 :class:`~repro.eval.engine.EngineContext` — estimator, memoizing
-:class:`~repro.eval.engine.SweepEngine`, ``--jobs``/``--backend``
-execution policy, optional ``--cache-dir`` persistent cache — and runs
-a :class:`~repro.eval.artifacts.RunPlan` over it, so ``repro all``
-evaluates each unique (design, workload) pair exactly once, in
-parallel if asked, and resumes from disk across runs. ``--stream``
+:class:`~repro.eval.engine.SweepEngine`, optional ``--cache-dir``
+persistent cache — and runs a :class:`~repro.eval.artifacts.RunPlan`
+over it, so ``repro all`` evaluates each unique (design, workload) pair
+exactly once and resumes from disk across runs. ``--stream``
 consumes the plan's event stream instead of the batch view: each
 artifact prints the moment its compute returns, with its own scoped
 cache-hit/evaluation counts.
@@ -80,11 +79,7 @@ from repro.eval.artifacts import (
     finished_event_line,
     stats_by_artifact,
 )
-from repro.eval.engine import (
-    BACKENDS,
-    GEOMEAN_METRICS,
-    EngineContext,
-)
+from repro.eval.engine import GEOMEAN_METRICS, EngineContext
 from repro.eval.runs import (
     record_from_artifacts,
     record_from_model_sweep,
@@ -125,7 +120,6 @@ def _render_outputs(results: Dict[str, Any], fmt: str) -> str:
 def run_artifacts(
     names: List[str],
     ctx: "EngineContext | None | object" = None,
-    jobs: int = 1,
     fmt: str = "text",
 ) -> str:
     """Render the named artifacts off one shared context.
@@ -135,7 +129,6 @@ def run_artifacts(
     estimator, an engine, a context).
     """
     ctx = EngineContext.coerce(ctx)
-    ctx.engine.jobs = max(ctx.engine.jobs, jobs)
     return _render_outputs(compute_artifacts(names, ctx), fmt)
 
 
@@ -202,15 +195,6 @@ def _coerce_metadata_value(text: str) -> object:
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The shared EngineContext knobs (artifact + sweep subcommands)."""
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers (default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread; the "
-        "analytical models are pure, so processes are safe)",
-    )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist (design, workload) evaluations under DIR and "
@@ -379,14 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "never occupy a slot)",
     )
     serve.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers within each run (default 1)",
-    )
-    serve.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread)",
-    )
-    serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist evaluations under DIR — the service's shared "
         "warm cache across requests and restarts (also: "
@@ -512,14 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shifts; default: run until drained)",
     )
     worker.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers within each batch (default 1)",
-    )
-    worker.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread)",
-    )
-    worker.add_argument(
         "--record", default=None, metavar="PATH",
         help="write a JSON run record of this worker's shift",
     )
@@ -613,8 +581,6 @@ def _resolve_cache_dir(
 def _build_context(args: argparse.Namespace) -> EngineContext:
     """The invocation's single EngineContext, from the CLI knobs."""
     return EngineContext.create(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
         cache_backend=args.cache_backend,
         record=args.record,
@@ -737,8 +703,7 @@ def _cmd_sweep_model(args: argparse.Namespace,
         print(R.render_model_sweep(sweep))
         stats = ctx.engine.stats
         print(
-            f"\n{len(design_names)} designs on {model.name}, "
-            f"jobs={args.jobs} ({args.backend}): "
+            f"\n{len(design_names)} designs on {model.name}: "
             f"{stats.evaluations} workloads evaluated, "
             f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
             f"in {wall_time_s:.2f}s"
@@ -835,8 +800,7 @@ def _cmd_sweep(args: argparse.Namespace,
         stats = ctx.engine.stats
         print(
             f"\n{len(design_names)} designs x {len(a_degrees)}x"
-            f"{len(b_degrees)} degree grid @ {size}^3, "
-            f"jobs={args.jobs} ({args.backend}): "
+            f"{len(b_degrees)} degree grid @ {size}^3: "
             f"{stats.evaluations} workloads evaluated, "
             f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
             f"in {wall_time_s:.2f}s"
@@ -960,8 +924,6 @@ def _cmd_cache(args: argparse.Namespace,
 def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     ctx = EngineContext.create(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
         cache_backend=args.cache_backend,
     )
@@ -1136,8 +1098,6 @@ def _cmd_worker(args: argparse.Namespace,
     # backend, cache dir = the queue file's directory, so results are
     # durable in the same file the queue rows live in.
     ctx = EngineContext.create(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=str(path.parent),
         cache_backend="sqlite",
         record=args.record,
@@ -1371,6 +1331,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro all | head -1``). The recipe
+        # from the Python docs: point stdout at devnull so the
+        # interpreter's exit-time flush cannot fail again, and exit
+        # non-zero without a traceback. The command's own ``finally:``
+        # teardown (the cache flush) has already run on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and (argv[0] in ARTIFACTS or argv[0] == "all"):
         argv = ["artifact"] + argv

@@ -4,7 +4,7 @@
 design gets each sparsity *degree* realized in the structure flavor it
 supports, and operands may be swapped — Sec. 7.1);
 :mod:`repro.eval.engine` turns declared (design, workload, sparsity)
-grids into memoized, optionally parallel cell evaluations; the
+grids into memoized, optionally persisted cell evaluations; the
 experiment functions in :mod:`repro.eval.experiments` regenerate every
 figure and table of the evaluation section on top of it;
 :mod:`repro.eval.reporting` prints them in the same rows/series the

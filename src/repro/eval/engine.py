@@ -1,5 +1,5 @@
 """The batched sweep engine: declarative work, memoized workloads,
-optional parallel execution, optional persistent caching.
+optional persistent caching.
 
 Experiments declare *what* to evaluate and the :class:`SweepEngine`
 decides *how*. The unit of memoization is a **(design, workload) pair**
@@ -15,17 +15,18 @@ weight-sparsity point).
 
 Engines are shared per estimator (see :meth:`SweepEngine.shared`), the
 in-memory cache is thread-safe with exactly-once evaluation even under
-concurrent batches, and a :class:`~repro.eval.cache.PersistentCache`
-extends memoization across runs. Workers can be threads (default) or
-processes (``backend="process"`` — the cost models are pure and
-pickleable).
+concurrent callers (overlapping served runs, queue workers), and a
+:class:`~repro.eval.cache.PersistentCache` extends memoization across
+runs. Misses are evaluated sequentially in the calling thread: each
+analytical cost model takes microseconds, so in-process pools cost
+more than they save. Scale-out is N ``repro worker`` processes draining
+one job queue (:meth:`SweepEngine.run_queue`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -74,9 +75,6 @@ PairKey = Tuple[str, WorkloadKey]
 
 #: One unit of engine work: a design name on one concrete workload.
 Pair = Tuple[str, MatmulWorkload]
-
-#: Supported worker backends.
-BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -321,60 +319,16 @@ def grid_cells(
     ]
 
 
-# --- process-backend worker side ---------------------------------------
-#
-# Workers receive (design name, workload) pairs; designs are
-# instantiated per process from the global registry. The estimator is
-# *rebuilt* in each worker from its table + plug-ins (plain, picklable
-# data) rather than pickled whole — a used estimator carries the shared
-# engine (locks, events) as an attribute, which spawn-based platforms
-# cannot pickle.
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(table, plugins) -> None:
-    _WORKER_STATE["estimator"] = Estimator(table=table, plugins=plugins)
-    _WORKER_STATE["designs"] = {}
-
-
-def _evaluate_pair_in_worker(pair: Pair) -> Optional[Metrics]:
-    design_name, workload = pair
-    designs: Dict[str, AcceleratorDesign] = _WORKER_STATE["designs"]
-    if design_name not in designs:
-        designs[design_name] = REGISTRY.create(design_name)
-    return evaluate_workload(
-        designs[design_name], workload, _WORKER_STATE["estimator"]
-    )
-
-
-def _evaluate_group_in_worker(
-    item: "Tuple[str, List[MatmulWorkload]]",
-) -> List[Optional[Metrics]]:
-    """One batch-path chunk in a process worker: the worker stacks its
-    own WorkloadBatch (cheaper than shipping shared numpy state across
-    the pickle boundary) — the batch path is bit-identical to scalar
-    regardless of where or how the stack was built."""
-    design_name, workloads = item
-    designs: Dict[str, AcceleratorDesign] = _WORKER_STATE["designs"]
-    if design_name not in designs:
-        designs[design_name] = REGISTRY.create(design_name)
-    return evaluate_workloads_batch(
-        designs[design_name], workloads, _WORKER_STATE["estimator"]
-    )
-
-
 class SweepEngine:
-    """Memoizing, optionally parallel executor for (design, workload)
-    pairs.
+    """Memoizing executor for (design, workload) pairs.
 
     One engine owns one :class:`Estimator` (so every workload is costed
     from identical technology assumptions), one in-memory pair cache,
     and optionally one persistent on-disk cache. Results are
-    deterministic and independent of ``jobs``/``backend``: pairs are
-    evaluated by pure analytical models and returned in request order.
-    All shared state is lock-guarded; a pair requested by several
-    threads concurrently is still evaluated exactly once.
+    deterministic: pairs are evaluated by pure analytical models and
+    returned in request order. All shared state is lock-guarded; a pair
+    requested by several threads concurrently is still evaluated
+    exactly once.
     """
 
     #: Attribute under which the shared engine rides on its estimator,
@@ -390,36 +344,17 @@ class SweepEngine:
         "_cache",
         "_inflight",
         "_instances",
-        "_process_pool",
-        "_thread_pool",
-        "_thread_pool_jobs",
     })
 
     def __init__(
         self,
         estimator: Optional[Estimator] = None,
-        jobs: int = 1,
         registry: Optional[DesignRegistry] = None,
-        backend: str = "thread",
         cache: Optional[cache_mod.PersistentCache] = None,
         use_batch: bool = True,
     ) -> None:
-        if jobs < 1:
-            raise EvaluationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise EvaluationError(
-                f"unknown backend {backend!r}; supported: "
-                f"{', '.join(BACKENDS)}"
-            )
         self.estimator = estimator if estimator is not None else Estimator()
-        self.jobs = jobs
         self.registry = registry if registry is not None else REGISTRY
-        if backend == "process" and self.registry is not REGISTRY:
-            raise EvaluationError(
-                "the process backend reconstructs designs from the "
-                "global registry; custom registries need backend='thread'"
-            )
-        self.backend = backend
         self.persistent = cache
         #: Route cache-miss batches through the designs' vectorized
         #: ``evaluate_batch`` path (``False`` forces the scalar
@@ -430,11 +365,10 @@ class SweepEngine:
         #: 0 restores the old flush-every-batch behavior.
         self.flush_interval = 5.0
         #: Upper bound on rows per batch-path completion chunk. Large
-        #: design groups are split so (a) an interrupt mid-grid loses
-        #: at most this many evaluations of in-progress work (each
+        #: design groups are split so an interrupt mid-grid loses at
+        #: most this many evaluations of in-progress work (each
         #: completed chunk is recorded — and flush-eligible — before
-        #: the next), matching the scalar path's durability story, and
-        #: (b) ``jobs > 1`` has units to parallelize over.
+        #: the next), matching the scalar path's durability story.
         self.batch_chunk_rows = 256
         self.stats = EngineStats()
         self._cache: Dict[PairKey, Optional[Metrics]] = {}
@@ -445,9 +379,6 @@ class SweepEngine:
         self._inflight: Dict[PairKey, Optional[threading.Event]] = {}
         self._lock = threading.Lock()
         self._instances: Dict[str, AcceleratorDesign] = {}
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._thread_pool_jobs = 0
 
     @classmethod
     def shared(cls, estimator: Optional[Estimator] = None) -> "SweepEngine":
@@ -499,106 +430,38 @@ class SweepEngine:
             self.design(design_name), workload, self.estimator
         )
 
-    def _worker_pool(self) -> ProcessPoolExecutor:
-        """The engine's lazily created process pool, reused across
-        batches so worker spawn + estimator transfer are paid once.
-        Creation is lock-guarded: concurrent cold callers must share
-        one pool, not leak one."""
-        with self._lock:
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_worker,
-                    initargs=(
-                        self.estimator.table, self.estimator._plugins
-                    ),
-                )
-            return self._process_pool
-
-    def _thread_worker_pool(self) -> ThreadPoolExecutor:
-        """The engine's lazily created thread pool, reused across
-        batches (mirroring the cached process pool) and rebuilt only
-        when ``jobs`` changes. A stale pool is shut down without
-        waiting, outside the lock: its already-submitted work still
-        runs to completion (so a concurrent caller iterating its map
-        is unaffected), and waiting under the lock could deadlock
-        against workers calling :meth:`design`."""
-        stale: Optional[ThreadPoolExecutor] = None
-        with self._lock:
-            if (
-                self._thread_pool is not None
-                and self._thread_pool_jobs != self.jobs
-            ):
-                stale, self._thread_pool = self._thread_pool, None
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=self.jobs
-                )
-                self._thread_pool_jobs = self.jobs
-            pool = self._thread_pool
-        if stale is not None:
-            stale.shutdown(wait=False)
-        return pool
-
     def flush(self) -> None:
         """Flush the persistent cache (if any) unconditionally.
 
         In-batch flushes are debounced (:attr:`flush_interval`);
         callers that just finished a logical unit of work — an
         artifact run, a CLI command — call this to make it durable
-        without tearing down worker pools like :meth:`close` does.
+        without closing the cache's backing store like :meth:`close`
+        does.
         """
         if self.persistent is not None:
             self.persistent.flush()
 
     def close(self) -> None:
-        """Flush the persistent cache and release worker pools.
+        """Flush the persistent cache and release its backing store.
 
         Safe to call repeatedly, and the engine stays usable afterwards
-        (pools and the cache's backing store reopen lazily). The CLI
-        calls this on every exit path so an interrupt mid-grid still
-        persists every completed evaluation (results are recorded
-        incrementally in :meth:`evaluate_workloads` and flushed there
-        at most every :attr:`flush_interval` seconds; this close — and
-        the in-batch failure path — flush unconditionally; queued
-        work that never started is cancelled, not drained).
+        (the cache's backing store reopens lazily). The CLI calls this
+        on every exit path so an interrupt mid-grid still persists
+        every completed evaluation (results are recorded incrementally
+        in :meth:`evaluate_workloads` and flushed there at most every
+        :attr:`flush_interval` seconds; this close — and the in-batch
+        failure path — flush unconditionally). A flush error
+        propagates.
         """
-        try:
-            if self.persistent is not None:
-                self.persistent.close()
-        finally:
-            # Pools must come down even when the flush fails (disk
-            # full, lock contention) — and on Ctrl-C, a flush error
-            # must not bury the KeyboardInterrupt with lingering
-            # worker processes.
-            with self._lock:
-                process, self._process_pool = self._process_pool, None
-                thread, self._thread_pool = self._thread_pool, None
-            if process is not None:
-                process.shutdown(cancel_futures=True)
-            if thread is not None:
-                thread.shutdown(cancel_futures=True)
+        if self.persistent is not None:
+            self.persistent.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter exit
         try:
             self.close()
         except Exception:
             pass
-
-    def _run_batch(self, pending: List[Pair]):
-        """Results for ``pending``, yielded lazily in order as they
-        complete (``Executor.map`` streams in submission order), so the
-        caller can record and persist each one before the next — an
-        interrupt mid-batch keeps everything already evaluated."""
-        if self.jobs > 1 and len(pending) > 1:
-            if self.backend == "process":
-                return self._worker_pool().map(
-                    _evaluate_pair_in_worker, pending
-                )
-            return self._thread_worker_pool().map(
-                self._evaluate_pair, pending
-            )
-        return (self._evaluate_pair(pair) for pair in pending)
 
     def _run_misses(self, own: Dict[PairKey, Pair]):
         """Chunks of ``(key, metrics)`` results for every owned miss,
@@ -607,17 +470,16 @@ class SweepEngine:
         Misses on batch-capable designs are grouped per design,
         chunked to at most :attr:`batch_chunk_rows` rows, and
         evaluated through the vectorized ``evaluate_batch`` path (one
-        numpy pass instead of one Python model walk per pair) — in
-        parallel across chunks when ``jobs > 1``, over one shared
-        workload stack when the miss set spans several designs (see
-        :meth:`_run_batch_groups`). The rest — non-batch designs, or
-        everything when ``use_batch`` is off — streams through the
-        scalar worker path. Both paths produce bit-identical Metrics,
-        so the caller records results the same way regardless of
-        route. Each yielded chunk is the unit of completion — at most
-        ``batch_chunk_rows`` pairs on the batch path, a single pair on
-        the scalar path — which is also the interrupt-durability
-        granularity.
+        numpy pass instead of one Python model walk per pair), over one
+        shared workload stack when the miss set spans several designs
+        (see :meth:`_run_batch_groups`). The rest — non-batch designs,
+        or everything when ``use_batch`` is off — goes through the
+        scalar path one pair at a time. Both paths produce
+        bit-identical Metrics, so the caller records results the same
+        way regardless of route. Each yielded chunk is the unit of
+        completion — at most ``batch_chunk_rows`` pairs on the batch
+        path, a single pair on the scalar path — which is also the
+        interrupt-durability granularity.
         """
         scalar: Dict[PairKey, Pair] = {}
         grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]] = {}
@@ -639,10 +501,8 @@ class SweepEngine:
             scalar = dict(own)
         if grouped:
             yield from self._run_batch_groups(grouped, designs)
-        for key, metrics in zip(
-            scalar, self._run_batch(list(scalar.values()))
-        ):
-            yield [(key, metrics)]
+        for key, pair in scalar.items():
+            yield [(key, self._evaluate_pair(pair))]
 
     def _run_batch_groups(
         self,
@@ -650,7 +510,7 @@ class SweepEngine:
         designs: Dict[str, AcceleratorDesign],
     ):
         """Batch-path chunks of ``(key, metrics)``, yielded in plan
-        order as they complete.
+        order as each is evaluated.
 
         When the miss set spans more than one design group, the union
         of their workloads is stacked *once* into a
@@ -658,19 +518,9 @@ class SweepEngine:
         materialized: dimension products, structure masks, operand
         keys, descriptions) and each group evaluates against a sliced
         view — the per-design restacking this replaces was the
-        cross-design headroom left by the original batch path. With
-        ``jobs > 1`` the chunks are dispatched to the worker pools
-        (``Executor.map`` streams results back in submission order, so
-        recording stays incremental); results are bit-identical to the
-        sequential and scalar paths either way.
+        cross-design headroom left by the original batch path. Results
+        are bit-identical to the scalar path.
         """
-        chunk_rows = max(1, self.batch_chunk_rows)
-        chunks: List[Tuple[str, List[Tuple[PairKey, MatmulWorkload]]]] = []
-        for design_name, group in grouped.items():
-            for start in range(0, len(group), chunk_rows):
-                chunks.append(
-                    (design_name, group[start:start + chunk_rows])
-                )
         # One stack even for a single design group: the stack layer
         # memoizes materialized batches by workload identity, so a
         # repeated miss set (benchmark rounds, re-sweeps against a
@@ -680,53 +530,29 @@ class SweepEngine:
             for group in grouped.values()
             for _, workload in group
         )
-        if self.jobs > 1 and len(chunks) > 1:
-            if self.backend == "process":
-                # Workers restack locally; shipping the shared numpy
-                # stack through pickle would cost more than it saves.
-                results = self._worker_pool().map(
-                    _evaluate_group_in_worker,
-                    [
-                        (name, [w for _, w in chunk])
-                        for name, chunk in chunks
-                    ],
+        chunk_rows = max(1, self.batch_chunk_rows)
+        for design_name, group in grouped.items():
+            for start in range(0, len(group), chunk_rows):
+                chunk = group[start:start + chunk_rows]
+                metrics_list = self._evaluate_batch_chunk(
+                    designs[design_name], chunk, stack
                 )
-            else:
-                # The shared stack is safe to slice concurrently: it
-                # is fully materialized before dispatch and views only
-                # read it.
-                results = self._thread_worker_pool().map(
-                    lambda item: self._evaluate_batch_chunk(
-                        designs[item[0]], item[1], stack
-                    ),
-                    chunks,
-                )
-            for (_, chunk), metrics_list in zip(chunks, results):
                 yield [
                     (key, metrics)
                     for (key, _), metrics in zip(chunk, metrics_list)
                 ]
-            return
-        for design_name, chunk in chunks:
-            metrics_list = self._evaluate_batch_chunk(
-                designs[design_name], chunk, stack
-            )
-            yield [
-                (key, metrics)
-                for (key, _), metrics in zip(chunk, metrics_list)
-            ]
 
     def _evaluate_batch_chunk(
         self,
         design: AcceleratorDesign,
         chunk: List[Tuple[PairKey, MatmulWorkload]],
-        stack: Optional[SharedWorkloadStack],
+        stack: SharedWorkloadStack,
     ) -> List[Optional[Metrics]]:
         return evaluate_workloads_batch(
             design,
             [workload for _, workload in chunk],
             self.estimator,
-            batch_source=None if stack is None else stack.batch_for,
+            batch_source=stack.batch_for,
         )
 
     def _wait_event_locked(self, key: "PairKey") -> threading.Event:
@@ -1029,11 +855,11 @@ class EngineContext:
     """Everything an experiment needs to evaluate workloads.
 
     One context wraps one :class:`SweepEngine` (which owns the
-    estimator, the jobs/backend execution policy, and any attached
-    persistent cache) plus invocation-level settings such as the run
-    record destination. The CLI constructs a context once per
-    invocation and threads it through every experiment, so all
-    artifacts/sweeps of a run share a single memoization domain.
+    estimator and any attached persistent cache) plus invocation-level
+    settings such as the run record destination. The CLI constructs a
+    context once per invocation and threads it through every
+    experiment, so all artifacts/sweeps of a run share a single
+    memoization domain.
 
     Experiments accept looser inputs for convenience — ``None``, a bare
     :class:`~repro.energy.estimator.Estimator`, or a
@@ -1047,14 +873,6 @@ class EngineContext:
     @property
     def estimator(self) -> Estimator:
         return self.engine.estimator
-
-    @property
-    def jobs(self) -> int:
-        return self.engine.jobs
-
-    @property
-    def backend(self) -> str:
-        return self.engine.backend
 
     @property
     def cache_dir(self) -> Optional[str]:
@@ -1075,14 +893,12 @@ class EngineContext:
     def create(
         cls,
         estimator: Optional[Estimator] = None,
-        jobs: int = 1,
-        backend: str = "thread",
         cache_dir: "Optional[str]" = None,
         cache_backend: str = cache_mod.DEFAULT_CACHE_BACKEND,
         record: Optional[str] = None,
     ) -> "EngineContext":
         """Build a context from invocation settings (the CLI path)."""
-        engine = SweepEngine(estimator, jobs=jobs, backend=backend)
+        engine = SweepEngine(estimator)
         if cache_dir is not None:
             engine.attach_cache(
                 cache_mod.PersistentCache.for_estimator(
@@ -1120,8 +936,8 @@ class EngineContext:
         :meth:`SweepEngine.close`: double-close (a ``finally:`` block
         racing a signal-driven shutdown hook both tearing down the same
         context) is a no-op the second time, never an error, and the
-        engine stays usable afterwards (pools and the cache store
-        reopen lazily).
+        engine stays usable afterwards (the cache store reopens
+        lazily).
         """
         self.engine.close()
 

@@ -133,16 +133,14 @@ class TestEngineBatchPath:
         m=64, k=64, n=64,
     )
 
-    def _sweep_payload(self, tmp_path, use_batch, jobs=1,
-                       backend="thread"):
+    def _sweep_payload(self, tmp_path, use_batch, chunk_rows=None):
         estimator = Estimator()
         cache = PersistentCache.for_estimator(
             tmp_path, estimator, backend="json"
         )
-        engine = SweepEngine(
-            estimator, cache=cache, use_batch=use_batch,
-            jobs=jobs, backend=backend,
-        )
+        engine = SweepEngine(estimator, cache=cache, use_batch=use_batch)
+        if chunk_rows is not None:
+            engine.batch_chunk_rows = chunk_rows
         sweep = engine.sweep(**self.GRID)
         engine.close()
         payload = {
@@ -182,31 +180,30 @@ class TestEngineBatchPath:
         assert batch_stats.misses == scalar_stats.misses
         assert batch_stats.hits == scalar_stats.hits
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_backends_match_scalar(self, tmp_path, backend):
-        """--jobs 4 over either worker backend must be indistinguishable
-        from the sequential scalar route: same payload floats, and the
-        persisted cache files must carry byte-identical blobs."""
-        parallel_payload, parallel_file, parallel_stats = (
+    def test_small_chunks_match_scalar(self, tmp_path):
+        """Splitting every design group into many small chunks must be
+        indistinguishable from the scalar route: same payload floats,
+        and the persisted cache files must carry byte-identical
+        blobs."""
+        chunked_payload, chunked_file, chunked_stats = (
             self._sweep_payload(
-                tmp_path / backend, use_batch=True,
-                jobs=4, backend=backend,
+                tmp_path / "chunked", use_batch=True, chunk_rows=2,
             )
         )
         scalar_payload, scalar_file, scalar_stats = self._sweep_payload(
             tmp_path / "scalar", use_batch=False
         )
-        assert json.dumps(parallel_payload, sort_keys=True) == json.dumps(
+        assert json.dumps(chunked_payload, sort_keys=True) == json.dumps(
             scalar_payload, sort_keys=True
         )
-        parallel_raw = codec.raw_from_columns(
-            json.loads(parallel_file)["columns"]
+        chunked_raw = codec.raw_from_columns(
+            json.loads(chunked_file)["columns"]
         )
         scalar_raw = codec.raw_from_columns(
             json.loads(scalar_file)["columns"]
         )
-        assert parallel_raw == scalar_raw
-        assert parallel_stats.misses == scalar_stats.misses
+        assert chunked_raw == scalar_raw
+        assert chunked_stats.misses == scalar_stats.misses
 
     def test_interrupt_mid_batch_keeps_completed_chunks(
         self, tmp_path, monkeypatch

@@ -734,7 +734,7 @@ class TestEngineIntegration:
         the second time, with identical payloads."""
         cache_dir = str(tmp_path / "cache")
         cold = EngineContext.create(
-            jobs=4, cache_dir=cache_dir, cache_backend="sqlite"
+            cache_dir=cache_dir, cache_backend="sqlite"
         )
         cold_results = compute_artifacts(list(ARTIFACTS), cold)
         assert cold.cache_backend == "sqlite"
@@ -742,7 +742,7 @@ class TestEngineIntegration:
         cold.engine.close()
 
         warm = EngineContext.create(
-            jobs=4, cache_dir=cache_dir, cache_backend="sqlite"
+            cache_dir=cache_dir, cache_backend="sqlite"
         )
         warm_results = compute_artifacts(list(ARTIFACTS), warm)
         assert warm.engine.stats.evaluations == 0

@@ -1,13 +1,22 @@
 """Tests for the CLI and the EXPERIMENTS.md report generator."""
 
 import json
+import os
+import subprocess
+import sys
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
 from repro.cli import ARTIFACTS, ORDER, main, run_artifacts
 from repro.energy import Estimator
 from repro.eval import experiments as E
+from repro.eval.artifacts import compute_artifacts
+from repro.eval.engine import EngineContext
 from repro.eval.report import build_report
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -52,6 +61,55 @@ class TestCli:
         err = capsys.readouterr().err
         assert "report" in err
 
+    @pytest.mark.parametrize(
+        "option", (["--jobs", "2"], ["--backend", "thread"]),
+        ids=("jobs", "backend"),
+    )
+    @pytest.mark.parametrize(
+        "command",
+        (["artifact", "fig6"], ["sweep"], ["report"], ["serve"],
+         ["worker"]),
+        ids=lambda command: command[0],
+    )
+    def test_removed_pool_options_are_usage_errors(
+        self, command, option, capsys
+    ):
+        """The in-process worker pools are gone; their options must
+        fail loudly at parse time, not be accepted and ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + option)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+    def test_closed_stdout_exits_quietly_after_flushing(self, tmp_path):
+        """``repro all | head -1``: a reader that goes away must not
+        produce a BrokenPipeError traceback, and the cache flush in the
+        command's teardown must still run."""
+        cache_dir = tmp_path / "cache"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "all",
+             "--cache-dir", str(cache_dir)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # Closing the only read end before the child has imported
+        # anything makes its first stdout write fail with EPIPE.
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr
+        warm = EngineContext.create(cache_dir=str(cache_dir))
+        with closing(warm.engine):
+            compute_artifacts(ORDER, warm)
+        assert warm.engine.stats.evaluations == 0
+        assert warm.engine.stats.disk_hits > 0
+
 
 class TestReport:
     @pytest.fixture(scope="class")
@@ -79,7 +137,7 @@ class TestSweepSubcommand:
         assert main([
             "sweep", "--designs", "TC,HighLight",
             "--a-degrees", "0.0,0.5", "--b-degrees", "0.0,0.25",
-            "--size", "256", "--jobs", "4",
+            "--size", "256",
             "--record", str(record_path),
         ]) == 0
         out = capsys.readouterr().out

@@ -1,11 +1,10 @@
-"""Tests for the memoizing/parallel sweep engine."""
+"""Tests for the memoizing sweep engine."""
 
 import threading
 
 import pytest
 
 from repro.energy import Estimator
-from repro.errors import EvaluationError
 from repro.eval.cache import MISS, PersistentCache
 from repro.eval.engine import (
     Cell,
@@ -113,113 +112,26 @@ class TestMemoization:
 
 
 class TestParallelism:
-    def test_jobs_1_and_4_produce_identical_sweeps(self, estimator):
-        serial = SweepEngine(estimator, jobs=1).sweep(**SMALL)
-        parallel = SweepEngine(estimator, jobs=4).sweep(**SMALL)
-        assert serial.design_order == parallel.design_order
-        assert list(serial.cells) == list(parallel.cells)
-        for cell in serial.cells:
-            assert serial.cells[cell] == parallel.cells[cell]
+    """Scale-out runs many independent engines (``repro worker``
+    processes, concurrent served runs); each must produce identical
+    results in request order."""
+
+    def test_independent_engines_produce_identical_sweeps(
+        self, estimator
+    ):
+        first = SweepEngine(estimator).sweep(**SMALL)
+        second = SweepEngine(estimator).sweep(**SMALL)
+        assert first.design_order == second.design_order
+        assert list(first.cells) == list(second.cells)
+        for cell in first.cells:
+            assert first.cells[cell] == second.cells[cell]
 
     def test_deterministic_result_ordering(self, estimator):
         cells = grid_cells(("TC", "HighLight"), (0.0, 0.5), (0.0,),
                            **SMALL)
-        a = SweepEngine(estimator, jobs=4).evaluate_cells(cells)
-        b = SweepEngine(estimator, jobs=4).evaluate_cells(cells)
+        a = SweepEngine(estimator).evaluate_cells(cells)
+        b = SweepEngine(estimator).evaluate_cells(cells)
         assert a == b
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepEngine(jobs=0)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(EvaluationError, match="backend"):
-            SweepEngine(backend="gpu")
-
-    def test_process_backend_matches_serial(self, estimator):
-        small = dict(m=64, k=64, n=64)
-        serial = SweepEngine(estimator).sweep(
-            designs=("TC", "HighLight"),
-            a_degrees=(0.0, 0.5), b_degrees=(0.0,), **small,
-        )
-        engine = SweepEngine(jobs=2, backend="process", use_batch=False)
-        try:
-            procs = engine.sweep(
-                designs=("TC", "HighLight"),
-                a_degrees=(0.0, 0.5), b_degrees=(0.0,), **small,
-            )
-        finally:
-            engine.close()
-        for cell in serial.cells:
-            for design in ("TC", "HighLight"):
-                ours = serial.cells[cell][design]
-                theirs = procs.cells[cell][design]
-                assert ours.edp == pytest.approx(theirs.edp)
-                assert ours.cycles == pytest.approx(theirs.cycles)
-
-    def test_process_pool_reused_across_batches(self):
-        # Each sweep is one batch with >1 unique pair (STC/DSTC realize
-        # several orientations), so both go through the pool.
-        # use_batch=False: pools serve the scalar path; the batch path
-        # would evaluate these misses without ever touching a pool.
-        engine = SweepEngine(jobs=2, backend="process", use_batch=False)
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._process_pool
-            assert pool is not None
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._process_pool is pool
-        finally:
-            engine.close()
-        assert engine._process_pool is None
-
-    def test_thread_pool_reused_across_batches(self):
-        """The thread backend keeps one executor alive across batches
-        (mirroring the cached process pool) instead of paying pool
-        construction per ``_run_batch``."""
-        engine = SweepEngine(jobs=2, backend="thread", use_batch=False)
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._thread_pool
-            assert pool is not None
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._thread_pool is pool
-        finally:
-            engine.close()
-        assert engine._thread_pool is None
-
-    def test_thread_pool_rebuilt_when_jobs_change(self):
-        engine = SweepEngine(jobs=2, backend="thread", use_batch=False)
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._thread_pool
-            engine.jobs = 3
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._thread_pool is not pool
-            assert engine._thread_pool_jobs == 3
-        finally:
-            engine.close()
-
-    def test_process_initargs_stay_picklable_after_shared_use(self):
-        """A used estimator carries the shared engine (locks/events)
-        and cannot be pickled — which is why the process backend ships
-        (table, plugins) instead of the estimator object. Guards the
-        spawn/forkserver platforms where initargs really are pickled."""
-        import pickle
-
-        estimator = Estimator()
-        SweepEngine.shared(estimator).evaluate_cells(
-            [Cell("TC", 0.0, 0.0, m=64, k=64, n=64)]
-        )
-        with pytest.raises(TypeError):
-            pickle.dumps(estimator)
-        pickle.dumps((estimator.table, estimator._plugins))
 
 
 class TestThreadSafety:
@@ -227,7 +139,7 @@ class TestThreadSafety:
         """Many threads hammering one engine with the same grid must
         agree on results and evaluate each unique pair exactly once
         (the in-flight registry makes concurrent misses collapse)."""
-        engine = SweepEngine(estimator, jobs=4)
+        engine = SweepEngine(estimator)
         cells = grid_cells(
             ("TC", "STC", "HighLight"), (0.0, 0.5), (0.0, 0.5), **SMALL
         )
@@ -307,9 +219,8 @@ class TestClose:
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
         assert reloaded.get("TC", workload.key()) is not MISS
 
-    @pytest.mark.parametrize("jobs", (1, 2))
     def test_interrupt_mid_batch_keeps_completed_evaluations(
-        self, tmp_path, jobs
+        self, tmp_path
     ):
         """The headline durability scenario: a whole grid is one batch,
         and Ctrl-C partway through must persist the evaluations that
@@ -320,9 +231,7 @@ class TestClose:
         # use_batch=False: the interrupt is injected through the scalar
         # _evaluate_pair hook, and per-*pair* durability is the scalar
         # path's guarantee (the batch path records per design group).
-        engine = SweepEngine(
-            estimator, jobs=jobs, cache=cache, use_batch=False
-        )
+        engine = SweepEngine(estimator, cache=cache, use_batch=False)
         workloads = [
             synthetic_workload(0.5, degree, size=128)
             for degree in (0.0, 0.25, 0.5, 0.75)
@@ -331,8 +240,6 @@ class TestClose:
         calls = []
 
         def interrupting(pair):
-            # >= so no pair submitted after the first interrupt can
-            # still evaluate (its result would never be consumed).
             if len(calls) >= 2:
                 raise KeyboardInterrupt
             result = real(pair)
@@ -348,7 +255,7 @@ class TestClose:
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
         for _, workload in calls:
             assert reloaded.get("TC", workload.key()) is not MISS
-        assert len(calls) >= 1
+        assert len(calls) == 2
 
     def test_close_is_idempotent_and_engine_stays_usable(self, tmp_path):
         estimator = Estimator()
@@ -363,18 +270,14 @@ class TestClose:
         assert metrics is not None
         engine.close()
 
-    def test_pools_shut_down_even_when_cache_close_fails(self, tmp_path):
-        """A failing flush (disk full, lock contention) must not leave
-        worker pools lingering, and the original error propagates."""
+    def test_cache_close_error_propagates(self, tmp_path):
+        """A failing flush (disk full, lock contention) surfaces from
+        ``close()`` instead of being swallowed."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        # use_batch=False so the sweep actually spins up a thread pool.
-        engine = SweepEngine(
-            estimator, jobs=2, cache=cache, use_batch=False
-        )
+        engine = SweepEngine(estimator, cache=cache)
         engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                      b_degrees=(0.0,), m=64, k=64, n=64)
-        assert engine._thread_pool is not None
 
         def failing_close():
             raise OSError("disk full")
@@ -382,8 +285,6 @@ class TestClose:
         cache.close = failing_close
         with pytest.raises(OSError, match="disk full"):
             engine.close()
-        assert engine._thread_pool is None
-        assert engine._process_pool is None
 
 
 class TestContextClose:
@@ -447,8 +348,8 @@ class TestContextClose:
         assert errors == []
 
     def test_close_then_reuse_then_close(self, tmp_path):
-        """A context stays usable after close (pools and the cache
-        store reopen lazily) and the later re-close flushes again."""
+        """A context stays usable after close (the cache store
+        reopens lazily) and the later re-close flushes again."""
         from repro.eval.engine import EngineContext
 
         ctx = EngineContext.create(cache_dir=str(tmp_path))

@@ -99,6 +99,21 @@ LOCK_GOOD_UNGUARDED_FIELD = """
             self.stats += 1
 """
 
+LOCK_BAD_STALE_MANIFEST = """
+    import threading
+
+    class Engine:
+        _lock_guarded = frozenset({"_entries", "_pool"})
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._entries = {}
+
+        def size(self):
+            with self._lock:
+                return len(self._entries)
+"""
+
 
 class TestLockDiscipline:
     def test_unlocked_access_flagged(self, tmp_path):
@@ -119,6 +134,17 @@ class TestLockDiscipline:
     )
     def test_compliant_patterns_pass(self, tmp_path, source):
         assert run_rule(tmp_path, source, "REP001") == ()
+
+    def test_manifest_name_never_assigned_flagged(self, tmp_path):
+        findings = run_rule(tmp_path, LOCK_BAD_STALE_MANIFEST, "REP001")
+        assert [f.rule for f in findings] == ["REP001"]
+        assert "'_pool'" in findings[0].message
+        assert "never assigns self._pool" in findings[0].message
+        assert findings[0].line == 5  # the manifest declaration
+
+    def test_src_manifests_name_only_assigned_fields(self):
+        result = lint_paths(["src/repro"], rules=["REP001"])
+        assert result.findings == ()
 
 
 # ---------------------------------------------------------------------------

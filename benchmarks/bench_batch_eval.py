@@ -16,7 +16,7 @@ from conftest import emit
 
 import repro.accelerators  # noqa: F401 - populates the registry
 from repro.accelerators.base import evaluate_workloads_batch
-from repro.accelerators.registry import REGISTRY
+from repro.accelerators import REGISTRY
 from repro.eval.harness import realize_workloads
 
 #: The Fig. 13 degree grid over a spread of GEMM shapes — enough
@@ -40,7 +40,7 @@ def _workloads(design_name):
 
 @pytest.mark.parametrize("design_name", sorted(REGISTRY.names()))
 def test_scalar_eval(benchmark, estimator, design_name):
-    design = REGISTRY.shared(design_name)
+    design = REGISTRY[design_name].shared
     workloads = _workloads(design_name)
 
     def run():
@@ -60,7 +60,7 @@ def test_scalar_eval(benchmark, estimator, design_name):
 
 @pytest.mark.parametrize("design_name", sorted(REGISTRY.names()))
 def test_batch_eval(benchmark, estimator, design_name):
-    design = REGISTRY.shared(design_name)
+    design = REGISTRY[design_name].shared
     if not design.batch_capable:
         pytest.skip(f"{design_name} has no batch path")
     workloads = _workloads(design_name)

@@ -27,7 +27,7 @@ def main() -> None:
         print(f"\n=== {model.name} (activations "
               f"{model.activation_sparsity:.0%} sparse) ===")
         baseline = evaluate_model(
-            REGISTRY.create("TC"), model, 0.0, estimator
+            REGISTRY["TC"].create(), model, 0.0, estimator
         )
         assert baseline is not None
         for design in designs:

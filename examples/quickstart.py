@@ -61,8 +61,8 @@ def main() -> None:
         m=1024, k=1024, n=1024,
         a=hss_operand(pattern), b=dense_operand(), name="quickstart",
     )
-    dense = REGISTRY.create("TC").evaluate(workload, estimator)
-    ours = REGISTRY.create("HighLight").evaluate(workload, estimator)
+    dense = REGISTRY["TC"].create().evaluate(workload, estimator)
+    ours = REGISTRY["HighLight"].create().evaluate(workload, estimator)
     print(f"EDP vs dense     : {dense.edp / ours.edp:.1f}x lower "
           f"({ours.cycles / dense.cycles:.2f}x cycles, "
           f"{ours.energy_pj / dense.energy_pj:.2f}x energy)")

@@ -10,20 +10,22 @@
 * :class:`DSSO` — the Sec. 7.5 dual-side HSS study design with
   alternating dense ranks.
 
-Every design self-registers in :data:`repro.accelerators.registry.REGISTRY`
-with metadata (category, sparsity side, Table 4 position); sweeps and
-the CLI resolve designs by name through the registry rather than by
+Every design self-registers in :data:`repro.accelerators.base.REGISTRY`
+(an instance of the generic :class:`repro.registry.Registry`, the same
+type that holds artifacts, lint rules and models) with metadata
+(category, sparsity side, Table 4 position); sweeps and the CLI
+resolve designs by name through the registry rather than by
 constructor.
 """
 
-from repro.accelerators.base import AcceleratorDesign, best_orientation
-from repro.accelerators.registry import (
+from repro.accelerators.base import (
     REGISTRY,
+    AcceleratorDesign,
     DesignInfo,
-    DesignRegistry,
-    RegistryError,
+    best_orientation,
     register_design,
 )
+from repro.registry import RegistryError
 from repro.accelerators.tc import TC
 from repro.accelerators.stc import STC
 from repro.accelerators.s2ta import S2TA
@@ -36,7 +38,6 @@ __all__ = [
     "best_orientation",
     "REGISTRY",
     "DesignInfo",
-    "DesignRegistry",
     "RegistryError",
     "register_design",
     "TC",
@@ -62,7 +63,7 @@ def all_designs():
     DSTC, S2TA and HighLight — in Table 4 order.
 
     DSSO, the Sec. 7.5 dual-side study design, is not part of the main
-    evaluation; reach it through ``REGISTRY.create("DSSO")`` (its
+    evaluation; reach it through ``REGISTRY["DSSO"].create()`` (its
     registry metadata carries ``study="sec7.5"``).
     """
-    return tuple(REGISTRY.create(name) for name in main_design_names())
+    return tuple(REGISTRY[name].create() for name in main_design_names())

@@ -1,9 +1,18 @@
-"""The accelerator-design interface and the operand-swap harness rule."""
+"""The accelerator-design interface, the design registry, and the
+operand-swap harness rule.
+
+Designs self-register with :func:`register_design` and free-form
+metadata (category, sparsity side, Table 4 position); the engine and
+the CLI look them up by name or metadata in :data:`REGISTRY`, so adding
+a design is one decorated class.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.arch.designs import DesignResources
 from repro.energy.estimator import Estimator
@@ -11,6 +20,7 @@ from repro.errors import UnsupportedWorkloadError
 from repro.model.batch import WorkloadBatch
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
+from repro.registry import Registry, RegistryError
 
 
 class AcceleratorDesign(abc.ABC):
@@ -60,6 +70,56 @@ class AcceleratorDesign(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+@dataclass(frozen=True)
+class DesignInfo:
+    """One registered design: its name, factory and metadata."""
+
+    name: str
+    factory: Callable[[], AcceleratorDesign]
+    metadata: Dict[str, Any] = field(default_factory=dict)
+
+    def create(self) -> AcceleratorDesign:
+        """A fresh instance of the design."""
+        return self.factory()
+
+    @cached_property
+    def shared(self) -> AcceleratorDesign:
+        """A memoized instance of the design.
+
+        Designs are stateless after construction (an arch spec plus
+        pure cost methods), so callers that only *evaluate* — engines,
+        sweeps — can share one instance instead of rebuilding the arch
+        spec per engine. Callers that mutate an instance must use
+        :meth:`create`.
+        """
+        return self.factory()
+
+
+#: The process-wide registry the evaluation stack resolves names against.
+REGISTRY: Registry[DesignInfo] = Registry("design", RegistryError)
+
+
+def register_design(
+    registry: Optional[Registry[DesignInfo]] = None, **metadata: Any
+) -> Callable[[type], type]:
+    """Class decorator: register an :class:`AcceleratorDesign` subclass
+    under its ``name`` attribute, with the given metadata.
+
+    ::
+
+        @register_design(category="dense", sparsity_side="none")
+        class TC(AcceleratorDesign):
+            name = "TC"
+    """
+    target = registry if registry is not None else REGISTRY
+
+    def decorator(cls: type) -> type:
+        target.register(DesignInfo(cls.name, cls, dict(metadata)))
+        return cls
+
+    return decorator
 
 
 def evaluate_workloads_batch(

@@ -15,8 +15,7 @@ from typing import List
 
 import numpy as np
 
-from repro.accelerators.base import AcceleratorDesign
-from repro.accelerators.registry import register_design
+from repro.accelerators.base import AcceleratorDesign, register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.formats import offset_bits
 from repro.energy.estimator import Estimator

@@ -14,8 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.accelerators.base import AcceleratorDesign
-from repro.accelerators.registry import register_design
+from repro.accelerators.base import AcceleratorDesign, register_design
 from repro.arch.designs import s2ta_resources
 from repro.energy.estimator import Estimator
 from repro.model.batch import WorkloadBatch

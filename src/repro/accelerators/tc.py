@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.accelerators.base import AcceleratorDesign
-from repro.accelerators.registry import register_design
+from repro.accelerators.base import AcceleratorDesign, register_design
 from repro.arch.designs import tc_resources
 from repro.energy.estimator import Estimator
 from repro.model.batch import WorkloadBatch

@@ -8,15 +8,16 @@ hot-path float folds keep a pinned order so the golden tests stay
 bit-identical, and every constructed engine is closed so interrupted
 grids keep their work.  This package turns those conventions into
 machine-checked invariants: a multi-pass AST analyzer whose rules are
-registered with the :func:`rule` decorator (the same decorator-driven
-registry idiom as ``DesignRegistry`` and ``@artifact``), run over a
-file set by :func:`lint_paths`, and surfaced through the ``repro
-lint`` CLI with text/JSON rendering, a committed baseline, and
-``--plugins DIR`` discovery with raise/skip/replace collision modes.
+registered with the :func:`rule` decorator into :data:`RULES` (a
+:class:`repro.registry.Registry`, like the design, artifact and model
+registries), run over a file set by :func:`lint_paths`, and surfaced
+through the ``repro lint`` CLI with text/JSON rendering, a committed
+baseline, and ``--plugins DIR`` discovery with raise/skip/replace
+collision modes.
 """
 
 from repro.analysis.findings import Finding, LintResult
-from repro.analysis.registry import RULES, RuleInfo, RuleRegistry, rule
+from repro.analysis.registry import RULES, RuleInfo, rule
 from repro.analysis.context import FileContext
 from repro.analysis.baseline import (
     apply_baseline,
@@ -39,7 +40,6 @@ __all__ = [
     "LintResult",
     "RULES",
     "RuleInfo",
-    "RuleRegistry",
     "rule",
     "FileContext",
     "apply_baseline",

@@ -6,9 +6,7 @@ order is deterministic); modules call the same
 self-register into the registry passed here.  Collisions with
 existing rule ids resolve per the scan mode — ``raise`` (default),
 ``skip`` (keep the incumbent), or ``replace`` (plugin wins) — the
-importlib-registry contract from the related-work exemplars, and the
-groundwork for ROADMAP item 4's ``repro --plugins`` model/artifact
-discovery.
+importlib-registry contract from the related-work exemplars.
 """
 
 from __future__ import annotations
@@ -18,17 +16,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.registry import (
-    RULES,
-    RuleRegistry,
-    target_registry,
-)
+from repro.analysis.registry import RULES, RuleInfo, target_registry
 from repro.errors import LintError, LintUsageError
+from repro.registry import Registry
 
 
 def load_plugins(
     directory: "str | Path",
-    registry: Optional[RuleRegistry] = None,
+    registry: Optional[Registry[RuleInfo]] = None,
     on_collision: str = "raise",
 ) -> List[str]:
     """Import every plugin module in ``directory``; returns the

@@ -1,12 +1,14 @@
 """The decorator-registered rule registry.
 
-Mirrors the repo's other registries (``DesignRegistry``,
-``ArtifactRegistry``): a :func:`rule` decorator attaches metadata —
-id, human name, category, default severity, fixability, optional path
-scoping — to a check function and registers it.  Collisions are
-resolved by the registry's *scan mode* (``raise``/``skip``/
-``replace``), the same contract the plugin loader exposes through
-``repro lint --plugins DIR --on-collision MODE``.
+:data:`RULES` is a :class:`repro.registry.Registry` keyed by rule id,
+the same type as the design, artifact and model registries: a
+:func:`rule` decorator attaches metadata — id, human name, category,
+default severity, fixability, optional path scoping — to a check
+function and registers it.  Collisions are resolved by the registry's
+*scan mode* (``raise``/``skip``/``replace``), the same contract the
+plugin loader exposes through ``repro lint --plugins DIR
+--on-collision MODE``.  Rule lookup by id or name
+(:func:`resolve_rule`) and the id format check stay here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -27,6 +30,7 @@ from typing import (
 )
 
 from repro.errors import LintError, LintUsageError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.context import FileContext
@@ -39,9 +43,6 @@ CheckFn = Callable[["FileContext"], Iterable["Finding"]]
 FinishFn = Callable[[Dict[str, Any]], Iterable["Finding"]]
 
 _RULE_ID_RE = re.compile(r"^[A-Z][A-Z0-9]{2,15}$")
-
-#: Collision behaviors a registry scan may use.
-COLLISION_MODES: Tuple[str, ...] = ("raise", "skip", "replace")
 
 
 @dataclass(frozen=True)
@@ -61,107 +62,46 @@ class RuleInfo:
     description: str = ""
 
 
-class RuleRegistry:
-    """Rules keyed by id, with raise/skip/replace collision modes."""
+#: The process-wide registry builtin rules register into on import,
+#: keyed by rule id.
+RULES: Registry[RuleInfo] = Registry(
+    "rule", LintError, key=attrgetter("id")
+)
 
-    def __init__(self) -> None:
-        self._rules: Dict[str, RuleInfo] = {}
-        self._mode: str = "raise"
 
-    def register(
-        self, info: RuleInfo, on_collision: Optional[str] = None
-    ) -> RuleInfo:
-        """Add ``info``; returns the rule that ended up registered
-        (the incumbent when a ``skip``-mode collision keeps it)."""
-        mode = self._mode if on_collision is None else on_collision
-        if mode not in COLLISION_MODES:
-            raise LintError(
-                f"unknown collision mode {mode!r}; "
-                f"expected one of {', '.join(COLLISION_MODES)}"
-            )
-        if not _RULE_ID_RE.match(info.id):
-            raise LintError(
-                f"rule id {info.id!r} must be 3-16 chars of "
-                f"[A-Z0-9] starting with a letter (e.g. REP001)"
-            )
-        incumbent = self._rules.get(info.id)
-        if incumbent is not None:
-            if mode == "raise":
-                raise LintError(
-                    f"rule id {info.id!r} is already registered "
-                    f"(as {incumbent.name!r}); pass "
-                    f"--on-collision skip|replace to resolve"
-                )
-            if mode == "skip":
-                return incumbent
-        self._rules[info.id] = info
+def resolve_rule(registry: Registry[RuleInfo], key: str) -> RuleInfo:
+    """Look a rule up by id (``REP001``) or name
+    (``lock-discipline``)."""
+    info = registry.get(key)
+    if info is not None:
         return info
-
-    @contextmanager
-    def scanning(self, mode: str) -> Iterator["RuleRegistry"]:
-        """Temporarily set the default collision mode (plugin scans)."""
-        if mode not in COLLISION_MODES:
-            raise LintError(
-                f"unknown collision mode {mode!r}; "
-                f"expected one of {', '.join(COLLISION_MODES)}"
-            )
-        previous, self._mode = self._mode, mode
-        try:
-            yield self
-        finally:
-            self._mode = previous
-
-    def clone(self) -> "RuleRegistry":
-        """An independent copy — plugin loads mutate the copy, not
-        the process-wide builtin registry."""
-        copy = RuleRegistry()
-        copy._rules = dict(self._rules)
-        return copy
-
-    def resolve(self, key: str) -> RuleInfo:
-        """Look a rule up by id (``REP001``) or name
-        (``lock-discipline``)."""
-        info = self._rules.get(key)
-        if info is not None:
-            return info
-        for candidate in self._rules.values():
-            if candidate.name == key:
-                return candidate
-        raise LintUsageError(
-            f"unknown rule {key!r}; known: "
-            + ", ".join(
-                f"{info.id} ({info.name})" for info in self.infos()
-            )
+    for candidate in registry.infos():
+        if candidate.name == key:
+            return candidate
+    raise LintUsageError(
+        f"unknown rule {key!r}; known: "
+        + ", ".join(
+            f"{info.id} ({info.name})" for info in rules_by_id(registry)
         )
-
-    def infos(self) -> List[RuleInfo]:
-        return sorted(self._rules.values(), key=lambda info: info.id)
-
-    def ids(self) -> List[str]:
-        return sorted(self._rules)
-
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __iter__(self) -> Iterator[RuleInfo]:
-        return iter(self.infos())
+    )
 
 
-#: The process-wide registry builtin rules register into on import.
-RULES = RuleRegistry()
+def rules_by_id(registry: Registry[RuleInfo]) -> List[RuleInfo]:
+    """The registered rules in id order (the order runs report in)."""
+    return sorted(registry.infos(), key=attrgetter("id"))
+
 
 #: Where :func:`rule` registers when no explicit registry is passed.
 #: The plugin loader points this at a per-invocation clone so plugin
 #: modules (which just use the plain decorator) never mutate the
 #: process-wide builtin set.
-_ACTIVE_REGISTRY: Optional[RuleRegistry] = None
+_ACTIVE_REGISTRY: Optional[Registry[RuleInfo]] = None
 
 
 @contextmanager
-def target_registry(registry: RuleRegistry) -> Iterator[RuleRegistry]:
+def target_registry(
+    registry: Registry[RuleInfo],
+) -> Iterator[Registry[RuleInfo]]:
     """Route decorator registrations to ``registry`` for the scope."""
     global _ACTIVE_REGISTRY
     previous, _ACTIVE_REGISTRY = _ACTIVE_REGISTRY, registry
@@ -180,7 +120,7 @@ def rule(
     fixable: bool = False,
     paths: Iterable[str] = (),
     finish: Optional[FinishFn] = None,
-    registry: Optional[RuleRegistry] = None,
+    registry: Optional[Registry[RuleInfo]] = None,
 ) -> Callable[[CheckFn], RuleInfo]:
     """Register a lint rule: ``@rule("lock-discipline", id="REP001",
     category="concurrency")`` above its check function.
@@ -192,6 +132,11 @@ def rule(
     the module-level name is the registered spec, not the bare
     function.
     """
+    if not _RULE_ID_RE.match(id):
+        raise LintError(
+            f"rule id {id!r} must be 3-16 chars of "
+            f"[A-Z0-9] starting with a letter (e.g. REP001)"
+        )
 
     def decorate(check: CheckFn) -> RuleInfo:
         info = RuleInfo(

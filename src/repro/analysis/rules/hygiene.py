@@ -51,7 +51,7 @@ def _class_name_constant(cls: ast.ClassDef) -> Optional[ast.Constant]:
     return None
 
 
-def _registered_name(decorator: str, call: ast.Call,
+def _claimed_name(decorator: str, call: ast.Call,
                      node: ast.AST) -> Optional[Tuple[str, ast.AST]]:
     """The name this registration claims, and its anchor node."""
     if decorator == "artifact":
@@ -114,7 +114,7 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
                     )
                     if finding is not None:
                         yield finding
-            claimed = _registered_name(kind, call, node)
+            claimed = _claimed_name(kind, call, node)
             if claimed is not None:
                 name, anchor = claimed
                 names.setdefault((kind, name), []).append(

@@ -25,8 +25,14 @@ from typing import (
 from repro.analysis.context import FileContext
 from repro.analysis.baseline import apply_baseline
 from repro.analysis.findings import Finding, LintResult, sort_findings
-from repro.analysis.registry import RULES, RuleInfo, RuleRegistry
+from repro.analysis.registry import (
+    RULES,
+    RuleInfo,
+    resolve_rule,
+    rules_by_id,
+)
 from repro.errors import LintUsageError
+from repro.registry import Registry
 
 #: Reserved id for "the file did not parse" findings — not a
 #: registered rule (it cannot be excluded: unparseable code can't be
@@ -66,7 +72,7 @@ def _display(path: Path) -> str:
 
 
 def select_rules(
-    registry: RuleRegistry,
+    registry: Registry[RuleInfo],
     include: Optional[Iterable[str]] = None,
     exclude: Optional[Iterable[str]] = None,
 ) -> List[RuleInfo]:
@@ -77,13 +83,13 @@ def select_rules(
     CLI) rather than silently linting with fewer rules than asked.
     """
     if include is not None:
-        chosen = {registry.resolve(key).id for key in include}
+        chosen = {resolve_rule(registry, key).id for key in include}
     else:
-        chosen = {info.id for info in registry.infos()}
+        chosen = set(registry.names())
     if exclude is not None:
-        chosen -= {registry.resolve(key).id for key in exclude}
+        chosen -= {resolve_rule(registry, key).id for key in exclude}
     selected = [
-        info for info in registry.infos() if info.id in chosen
+        info for info in rules_by_id(registry) if info.id in chosen
     ]
     if not selected:
         raise LintUsageError(
@@ -102,7 +108,7 @@ def lint_paths(
     paths: Sequence["str | Path"],
     rules: Optional[Iterable[str]] = None,
     exclude: Optional[Iterable[str]] = None,
-    registry: Optional[RuleRegistry] = None,
+    registry: Optional[Registry[RuleInfo]] = None,
     baseline: Optional["Counter[str]"] = None,
 ) -> LintResult:
     """Run the selected rules over ``paths`` and collect findings."""

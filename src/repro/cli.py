@@ -86,6 +86,7 @@ from repro.eval.runs import (
     record_from_sweep,
     record_from_worker,
 )
+from repro.registry import COLLISION_MODES
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.serve.server import serve as run_serve
 
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load additional @rule modules from DIR (repeatable)",
     )
     lint.add_argument(
-        "--on-collision", choices=("raise", "skip", "replace"),
+        "--on-collision", choices=COLLISION_MODES,
         default="raise",
         help="what a plugin rule that reuses a built-in id/name does "
         "(default raise)",
@@ -720,17 +721,20 @@ def _cmd_sweep_model(args: argparse.Namespace,
         return 0
 
 
+def _design_names(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> Tuple[str, ...]:
+    """``--designs`` (default: the main evaluation), every name
+    checked against the design registry."""
+    names = tuple(args.designs) if args.designs else main_design_names()
+    for name in names:
+        if name not in REGISTRY:
+            parser.error(REGISTRY.unknown(name))
+    return names
+
+
 def _cmd_sweep(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    design_names = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    for name in design_names:
-        if name not in REGISTRY:
-            parser.error(
-                f"unknown design {name!r}; run 'repro list' for the "
-                f"registered names"
-            )
+    design_names = _design_names(args, parser)
     loaded_model = None
     if args.model_file is not None:
         if args.model is not None:
@@ -972,15 +976,7 @@ def _queue_location(
 
 def _queue_fill_pairs(args: argparse.Namespace,
                       parser: argparse.ArgumentParser):
-    designs = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    for name in designs:
-        if name not in REGISTRY:
-            parser.error(
-                f"unknown design {name!r}; run 'repro list' for the "
-                f"registered names"
-            )
+    designs = _design_names(args, parser)
     if args.model is not None:
         for flag, value in (
             ("--a-degrees", args.a_degrees),
@@ -1183,7 +1179,7 @@ def _cmd_list(args: argparse.Namespace,
                 f"(e.g. sparsity_side=dual)"
             )
         filters[key] = _coerce_metadata_value(value)
-    infos = REGISTRY.filter(**filters) if filters else list(REGISTRY)
+    infos = REGISTRY.filter(**filters) if filters else REGISTRY.infos()
     rows = [
         [
             info.name,
@@ -1272,7 +1268,7 @@ def _cmd_lint(
                     info.severity,
                     "yes" if info.fixable else "no",
                 ]
-                for info in registry.infos()
+                for info in analysis.select_rules(registry)
             ]
             print(R.format_table(
                 ("id", "name", "category", "severity", "fixable"), rows

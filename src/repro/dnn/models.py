@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from functools import lru_cache
 
 from repro.dnn.layers import ConvLayer, Layer, LinearLayer
 from repro.errors import WorkloadError
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -248,21 +249,31 @@ def all_models() -> Tuple[DnnModel, ...]:
     return (resnet50(), deit_small(), transformer_big())
 
 
+@dataclass(frozen=True)
+class ModelInfo:
+    """One registered network: its name and how to build it."""
+
+    name: str
+    build: Callable[[], DnnModel]
+
+
 #: Registered networks, addressable by name from the CLI and the
 #: network-sweep experiments (paper trio first, extensions after).
-MODEL_BUILDERS: Dict[str, Callable[[], DnnModel]] = {
-    "ResNet50": resnet50,
-    "DeiT-small": deit_small,
-    "Transformer-Big": transformer_big,
-    "EfficientNet-B0": efficientnet_b0,
-}
+#: Names resolve case-insensitively.
+MODELS: Registry[ModelInfo] = Registry(
+    "model", WorkloadError, casefold=True
+)
+MODELS.register(ModelInfo("ResNet50", resnet50))
+MODELS.register(ModelInfo("DeiT-small", deit_small))
+MODELS.register(ModelInfo("Transformer-Big", transformer_big))
+MODELS.register(ModelInfo("EfficientNet-B0", efficientnet_b0))
 
 
 #: The module-level builders above, frozen at import time: runtime
 #: registrations may never shadow these, case-insensitively — a model
 #: file named ``ResNet50`` (or ``resnet50``) silently replacing the
 #: builtin would corrupt every later sweep that asks for it by name.
-BUILTIN_MODELS: Tuple[str, ...] = tuple(MODEL_BUILDERS)
+BUILTIN_MODELS: Tuple[str, ...] = MODELS.names()
 
 
 def is_builtin_model(name: str) -> bool:
@@ -272,25 +283,13 @@ def is_builtin_model(name: str) -> bool:
     )
 
 
-def _registered_name(name: str) -> Optional[str]:
-    """The registered spelling ``name`` resolves to, if any.
-
-    Case-insensitive to match :func:`get_model`: a case-variant that
-    registers but can never be resolved is unreachable dead weight.
-    """
-    for registered in MODEL_BUILDERS:
-        if registered.lower() == name.lower():
-            return registered
-    return None
-
-
 def model_names() -> Tuple[str, ...]:
     """All registered network names, registration order."""
-    return tuple(MODEL_BUILDERS)
+    return MODELS.names()
 
 
 def register_model(model: DnnModel, replace: bool = False) -> DnnModel:
-    """Register a concrete network into :data:`MODEL_BUILDERS`.
+    """Register a concrete network into :data:`MODELS`.
 
     Runtime counterpart of the module-level builders, used by
     ``repro sweep --model-file``. Collision checks are
@@ -302,22 +301,17 @@ def register_model(model: DnnModel, replace: bool = False) -> DnnModel:
     process is legitimate), and the old spelling is dropped so two
     case-variants never coexist.
     """
-    existing = _registered_name(model.name)
-    if existing is not None:
-        if is_builtin_model(existing):
-            raise WorkloadError(
-                f"model {model.name!r} would shadow the built-in "
-                f"{existing!r} (model names resolve "
-                f"case-insensitively); rename it"
-            )
-        if not replace:
-            raise WorkloadError(
-                f"model {model.name!r} is already registered "
-                f"(as {existing!r}; names resolve case-insensitively); "
-                f"rename it or pass replace=True"
-            )
-        del MODEL_BUILDERS[existing]
-    MODEL_BUILDERS[model.name] = lambda: model
+    existing = MODELS.get(model.name)
+    if existing is not None and is_builtin_model(existing.name):
+        raise WorkloadError(
+            f"model {model.name!r} would shadow the built-in "
+            f"{existing.name!r} (model names resolve "
+            f"case-insensitively); rename it"
+        )
+    MODELS.register(
+        ModelInfo(model.name, lambda: model),
+        on_collision="replace" if replace else "raise",
+    )
     return model
 
 
@@ -474,10 +468,8 @@ def load_model_file(path: "str | Path") -> DnnModel:
 
 def get_model(name: str) -> DnnModel:
     """Build a registered network by name (case-insensitive)."""
-    for registered, builder in MODEL_BUILDERS.items():
-        if registered.lower() == name.lower():
-            return builder()
-    raise WorkloadError(
-        f"unknown model {name!r}; registered: "
-        f"{', '.join(MODEL_BUILDERS)}"
-    )
+    try:
+        info = MODELS[name]
+    except KeyError as error:
+        raise WorkloadError(error.args[0]) from None
+    return info.build()

@@ -1,7 +1,8 @@
 """The declarative artifact registry: paper figures/tables as specs.
 
-Mirrors :mod:`repro.accelerators.registry`: each artifact registers a
-``compute(ctx) -> result`` function under its name via the
+:data:`ARTIFACTS` is a :class:`repro.registry.Registry`, the same type
+as the design, lint-rule and model registries: each artifact registers
+a ``compute(ctx) -> result`` function under its name via the
 :func:`artifact` decorator, together with the structured result type it
 produces and its text renderer. Computation and presentation are fully
 separated — ``compute`` returns a result dataclass with a uniform
@@ -49,6 +50,7 @@ from repro.errors import EvaluationError
 from repro.eval import experiments as E
 from repro.eval import reporting as R
 from repro.eval.engine import EngineContext, EngineStats, SweepResult
+from repro.registry import Registry
 
 #: Output formats every artifact supports.
 FORMATS = ("text", "json", "csv", "md")
@@ -87,65 +89,9 @@ class ArtifactInfo:
         )
 
 
-class ArtifactRegistry:
-    """An ordered, dict-like name -> :class:`ArtifactInfo` mapping.
-
-    Iteration yields names in registration order (the paper order), so
-    the registry drops into every place the old ``ARTIFACTS`` dict of
-    closures was used.
-    """
-
-    def __init__(self) -> None:
-        self._artifacts: Dict[str, ArtifactInfo] = {}
-
-    def register(self, info: ArtifactInfo) -> ArtifactInfo:
-        if info.name in self._artifacts:
-            raise EvaluationError(
-                f"artifact already registered: {info.name!r}"
-            )
-        self._artifacts[info.name] = info
-        return info
-
-    def __getitem__(self, name: str) -> ArtifactInfo:
-        try:
-            return self._artifacts[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown artifact {name!r}; registered: "
-                f"{', '.join(self.names()) or '(none)'}"
-            ) from None
-
-    def get(self, name: str) -> Optional[ArtifactInfo]:
-        return self._artifacts.get(name)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._artifacts)
-
-    def infos(self) -> Tuple[ArtifactInfo, ...]:
-        return tuple(self._artifacts.values())
-
-    def for_result(self, result: Any) -> ArtifactInfo:
-        """The artifact whose ``result_type`` is ``type(result)``."""
-        for info in self._artifacts.values():
-            if info.result_type is type(result):
-                return info
-        raise EvaluationError(
-            f"no registered artifact produces "
-            f"{type(result).__name__} results"
-        )
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._artifacts
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._artifacts)
-
-    def __len__(self) -> int:
-        return len(self._artifacts)
-
-
-#: The process-wide artifact registry (paper order).
-ARTIFACTS = ArtifactRegistry()
+#: The process-wide artifact registry; iteration yields names in
+#: registration order, which is the paper order.
+ARTIFACTS: Registry[ArtifactInfo] = Registry("artifact", EvaluationError)
 
 
 def artifact(
@@ -153,7 +99,7 @@ def artifact(
     result_type: type,
     text: Callable[[Any], str],
     title: str = "",
-    registry: Optional[ArtifactRegistry] = None,
+    registry: Optional[Registry[ArtifactInfo]] = None,
     **metadata: Any,
 ) -> Callable[[Callable[[EngineContext], Any]], ArtifactInfo]:
     """Decorator: register ``compute(ctx)`` as the named artifact.
@@ -185,6 +131,18 @@ def artifact(
     return decorator
 
 
+def for_result(result: Any) -> ArtifactInfo:
+    """The registered artifact whose ``result_type`` is
+    ``type(result)``."""
+    for info in ARTIFACTS.infos():
+        if info.result_type is type(result):
+            return info
+    raise EvaluationError(
+        f"no registered artifact produces "
+        f"{type(result).__name__} results"
+    )
+
+
 def render(result: Any, fmt: str = "text") -> str:
     """Render any artifact result in one of :data:`FORMATS`.
 
@@ -192,7 +150,7 @@ def render(result: Any, fmt: str = "text") -> str:
     renderer; ``json``/``csv`` go through the result's uniform
     ``to_payload()``.
     """
-    return ARTIFACTS.for_result(result).render(result, fmt)
+    return for_result(result).render(result, fmt)
 
 
 def _payload_csv(payload: Dict[str, Any]) -> str:
@@ -388,7 +346,7 @@ class RunPlan:
         cls,
         names: Sequence[str],
         ctx: "EngineContext | None | object" = None,
-        registry: Optional[ArtifactRegistry] = None,
+        registry: Optional[Registry[ArtifactInfo]] = None,
     ) -> "RunPlan":
         """Resolve ``names`` against the registry under one context.
 
@@ -493,7 +451,7 @@ def compute_artifacts(
 
 def names_from_spec(
     spec: Any,
-    registry: Optional[ArtifactRegistry] = None,
+    registry: Optional[Registry[ArtifactInfo]] = None,
 ) -> Tuple[str, ...]:
     """Resolve a JSON artifact spec to a tuple of registered names.
 

@@ -43,9 +43,9 @@ from typing import (
 from repro.accelerators import REGISTRY, main_design_names
 from repro.accelerators.base import (
     AcceleratorDesign,
+    DesignInfo,
     evaluate_workloads_batch,
 )
-from repro.accelerators.registry import DesignRegistry
 from repro.energy.estimator import Estimator
 from repro.errors import EvaluationError
 from repro.eval import cache as cache_mod
@@ -57,6 +57,7 @@ from repro.eval.harness import (
 from repro.model.batch import SharedWorkloadStack
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
+from repro.registry import Registry
 from repro.utils import geomean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -349,7 +350,7 @@ class SweepEngine:
     def __init__(
         self,
         estimator: Optional[Estimator] = None,
-        registry: Optional[DesignRegistry] = None,
+        registry: Optional[Registry[DesignInfo]] = None,
         cache: Optional[cache_mod.PersistentCache] = None,
         use_batch: bool = True,
     ) -> None:
@@ -421,7 +422,7 @@ class SweepEngine:
         in sweep setup)."""
         with self._lock:
             if name not in self._instances:
-                self._instances[name] = self.registry.shared(name)
+                self._instances[name] = self.registry[name].shared
             return self._instances[name]
 
     def _evaluate_pair(self, pair: Pair) -> Optional[Metrics]:
@@ -728,10 +729,7 @@ class SweepEngine:
         names = tuple(designs) if designs else main_design_names()
         for name in names:
             if name not in self.registry:
-                raise KeyError(
-                    f"unknown design {name!r}; registered: "
-                    f"{', '.join(self.registry.names())}"
-                )
+                raise KeyError(self.registry.unknown(name))
         cells = grid_cells(names, a_degrees, b_degrees, m, k, n)
         results = iter(self.evaluate_cells(cells))
         table: Dict[Tuple[float, float], Dict[str, Optional[Metrics]]] = {}

@@ -1160,7 +1160,7 @@ def table1_saf_inventory() -> List[Dict[str, str]]:
 
 def table3_dsso() -> Dict[str, str]:
     """The DSSO row used in the Sec. 7.5 study."""
-    design = REGISTRY.create("DSSO")
+    design = REGISTRY["DSSO"].create()
     return {"design": design.name, "patterns": design.supported_patterns}
 
 

@@ -35,12 +35,13 @@ from repro.dnn.models import DnnModel, get_model, model_from_dict
 from repro.errors import EvaluationError, ServeError, WorkloadError
 from repro.eval import experiments as E
 from repro.eval.artifacts import (
-    ArtifactRegistry,
+    ArtifactInfo,
     ArtifactStarted,
     RunFinished,
     names_from_spec,
 )
 from repro.eval.engine import EngineStats
+from repro.registry import Registry
 
 #: Request line + headers must fit in this many bytes.
 MAX_HEADER_BYTES = 64 * 1024
@@ -288,7 +289,7 @@ class ArtifactsSpec:
 
 
 def parse_artifacts_spec(
-    data: Any, registry: Optional[ArtifactRegistry] = None
+    data: Any, registry: Optional[Registry[ArtifactInfo]] = None
 ) -> ArtifactsSpec:
     """Validate an artifacts spec and key it for coalescing.
 
@@ -348,10 +349,7 @@ def _sweep_designs(data: Mapping[str, Any]) -> Tuple[str, ...]:
         )
     for name in designs:
         if name not in REGISTRY:
-            raise ServeError(
-                f"unknown design {name!r}; registered: "
-                f"{', '.join(info.name for info in REGISTRY)}"
-            )
+            raise ServeError(REGISTRY.unknown(name))
     duplicates = sorted({n for n in designs if designs.count(n) > 1})
     if duplicates:
         raise ServeError(

@@ -42,8 +42,9 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Set
 
 from repro.errors import ServeError
-from repro.eval.artifacts import ArtifactRegistry
+from repro.eval.artifacts import ArtifactInfo
 from repro.eval.engine import EngineContext
+from repro.registry import Registry
 from repro.serve import protocol
 from repro.serve.coalescing import InflightRun, RunBroker
 from repro.serve.handlers import (
@@ -78,7 +79,7 @@ class EvaluationService:
         ctx: EngineContext,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        registry: Optional[ArtifactRegistry] = None,
+        registry: Optional[Registry[ArtifactInfo]] = None,
         max_concurrent: int = 1,
         record_dir: "str | Path | None" = None,
     ) -> None:
@@ -333,7 +334,7 @@ def serve(
     ctx: EngineContext,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
-    registry: Optional[ArtifactRegistry] = None,
+    registry: Optional[Registry[ArtifactInfo]] = None,
     max_concurrent: int = 1,
     record_dir: "str | Path | None" = None,
     announce: bool = True,

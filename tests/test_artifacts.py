@@ -20,6 +20,7 @@ from repro.eval.artifacts import (
     ARTIFACTS,
     FORMATS,
     compute_artifacts,
+    for_result,
     render,
 )
 from repro.eval.engine import EngineContext, SweepEngine
@@ -58,11 +59,11 @@ class TestRegistry:
 
     def test_result_type_dispatch(self):
         result = ARTIFACTS["fig6"].compute(EngineContext.coerce(None))
-        assert ARTIFACTS.for_result(result).name == "fig6"
+        assert for_result(result).name == "fig6"
 
     def test_unregistered_result_type_rejected(self):
         with pytest.raises(EvaluationError, match="no registered"):
-            ARTIFACTS.for_result(object())
+            for_result(object())
 
     def test_compute_artifacts_rejects_unknown_before_work(self):
         with pytest.raises(KeyError):

@@ -21,7 +21,7 @@ import pytest
 
 import repro.accelerators  # noqa: F401 - populates the registry
 from repro.accelerators.base import evaluate_workloads_batch
-from repro.accelerators.registry import REGISTRY
+from repro.accelerators import REGISTRY
 from repro.dnn.models import deit_small
 from repro.eval import codec
 from repro.energy.estimator import Estimator
@@ -37,7 +37,7 @@ B_DEGREES = (0.0, 0.25, 0.5, 0.75, 0.875)
 
 BATCH_DESIGNS = tuple(
     name for name in REGISTRY.names()
-    if REGISTRY.shared(name).batch_capable
+    if REGISTRY[name].shared.batch_capable
 )
 
 
@@ -90,7 +90,7 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("design_name", BATCH_DESIGNS)
     def test_grid_and_dnn_shapes(self, design_name, estimator):
-        design = REGISTRY.create(design_name)
+        design = REGISTRY[design_name].create()
         workloads = _grid_workloads(design_name)
         assert workloads  # the grid must exercise the design
         scalar = [
@@ -106,7 +106,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("design_name", BATCH_DESIGNS)
     def test_single_workload_batch(self, design_name, estimator):
         """Batch size 1 is the scalar case in batch clothing."""
-        design = REGISTRY.create(design_name)
+        design = REGISTRY[design_name].create()
         for workload in _grid_workloads(design_name):
             if design.supports(workload):
                 break
@@ -254,7 +254,7 @@ class TestEngineBatchPath:
         (metrics,) = engine.evaluate_workloads([("TC", workload)])
         # The engine caches content-keyed (name-stripped) workloads,
         # so compare against the stripped scalar evaluation.
-        reference = REGISTRY.create("TC").evaluate(
+        reference = REGISTRY["TC"].create().evaluate(
             workload.stripped, engine.estimator
         )
         _assert_identical(reference, metrics)
@@ -308,7 +308,7 @@ class TestWorkloadBatch:
 class TestActivityMatrix:
     @pytest.fixture()
     def arch(self):
-        return REGISTRY.shared("TC").resources.arch
+        return REGISTRY["TC"].shared.resources.arch
 
     def test_scalar_counts_broadcast(self):
         matrix = ActivityMatrix(3)
@@ -364,7 +364,7 @@ class TestActivityMatrix:
 
 class TestEstimatorVector:
     def test_energy_vector_matches_energy_pj(self, estimator):
-        arch = REGISTRY.shared("HighLight").resources.arch
+        arch = REGISTRY["HighLight"].shared.resources.arch
         pairs = [
             (arch.component("macs"), "mac"),
             (arch.component("glb_data"), "read"),
@@ -387,9 +387,9 @@ class TestEstimatorVector:
 
 class TestSharedRegistryInstances:
     def test_shared_is_memoized_create_is_not(self):
-        assert REGISTRY.shared("TC") is REGISTRY.shared("TC")
-        assert REGISTRY.create("TC") is not REGISTRY.create("TC")
-        assert type(REGISTRY.create("TC")) is type(REGISTRY.shared("TC"))
+        assert REGISTRY["TC"].shared is REGISTRY["TC"].shared
+        assert REGISTRY["TC"].create() is not REGISTRY["TC"].create()
+        assert type(REGISTRY["TC"].create()) is type(REGISTRY["TC"].shared)
 
 
 class TestStrippedWorkload:

@@ -304,14 +304,10 @@ class TestArtifactFormatsAndRecords:
             main(["artifact", "fig6", "--format", "yaml"])
 
 
+@pytest.mark.usefixtures("scratch_models")
 class TestModelFileSubcommand:
-    @pytest.fixture(autouse=True)
-    def _unregister(self):
-        """Runtime registrations must not leak into other tests."""
-        from repro.dnn.models import MODEL_BUILDERS
-
-        yield
-        MODEL_BUILDERS.pop("TinyNet", None)
+    """Runs on a scratch model registry: ``--model-file``
+    registrations must not leak into other tests."""
 
     MODEL = {
         "name": "TinyNet",
@@ -363,7 +359,7 @@ class TestModelFileSubcommand:
         """A model file named after a builtin — any case variant, since
         names resolve case-insensitively — must fail loudly instead of
         silently replacing (or unreachably shadowing) the builtin."""
-        from repro.dnn.models import MODEL_BUILDERS, get_model
+        from repro.dnn.models import BUILTIN_MODELS, get_model, model_names
 
         shadow = json.loads(json.dumps(self.MODEL))
         shadow["name"] = name
@@ -374,7 +370,7 @@ class TestModelFileSubcommand:
                 "--designs", "TC", "--degrees", "0.0",
             ])
         assert "built-in" in capsys.readouterr().err
-        assert name not in MODEL_BUILDERS or name == "ResNet50"
+        assert model_names() == BUILTIN_MODELS
         # The builtin still resolves to its 22-layer table.
         assert len(get_model("resnet50").layers) == 22
 

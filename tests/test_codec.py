@@ -19,7 +19,7 @@ import pytest
 
 import repro.accelerators  # noqa: F401 - populates the registry
 from repro.accelerators.base import evaluate_workloads_batch
-from repro.accelerators.registry import REGISTRY
+from repro.accelerators import REGISTRY
 from repro.energy.estimator import Estimator
 from repro.errors import CacheError
 from repro.eval import codec
@@ -35,7 +35,7 @@ def estimator():
 
 @pytest.fixture(scope="module")
 def metrics(estimator):
-    design = REGISTRY.shared("HighLight")
+    design = REGISTRY["HighLight"].shared
     workload = synthetic_workload(0.5, 0.25, size=128)
     return design.evaluate(workload, estimator)
 
@@ -96,7 +96,7 @@ class TestBlobRoundTrip:
         """Metrics built by the vectorized path carry a pre-packed
         blob; encode_metrics must return exactly what a from-scratch
         encode of the same (stash-free) Metrics would."""
-        design = REGISTRY.shared("HighLight")
+        design = REGISTRY["HighLight"].shared
         workloads = [
             synthetic_workload(0.5, 0.25, size=size)
             for size in (64, 128, 256)

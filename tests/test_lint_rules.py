@@ -14,12 +14,12 @@ import pytest
 from repro.analysis import (
     RULES,
     Finding,
-    RuleRegistry,
     lint_paths,
     load_baseline,
     rule,
     write_baseline,
 )
+from repro.analysis.registry import resolve_rule
 from repro.cli import main
 from repro.errors import (
     EvaluationError,
@@ -487,7 +487,7 @@ class TestRunner:
     def test_excluding_everything_is_usage_error(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
         with pytest.raises(LintUsageError):
-            lint_paths([tmp_path], exclude=list(RULES.ids()))
+            lint_paths([tmp_path], exclude=list(RULES.names()))
 
     def test_src_tree_is_clean_against_near_empty_baseline(self):
         baseline = load_baseline("lint-baseline.json")
@@ -497,48 +497,51 @@ class TestRunner:
 
 
 class TestRegistry:
+    """Rule-specific registry behaviour; the collision, lookup and
+    ordering contract shared by every registry is tested in
+    ``tests/test_registry.py``."""
+
     def _info(self, rule_id="REP900", name="demo"):
-        registry = RuleRegistry()
         return rule(
-            name, id=rule_id, category="demo", registry=registry
+            name, id=rule_id, category="demo", registry=RULES.clone()
         )(lambda ctx: [])
 
     def test_decorator_returns_info(self):
         info = self._info()
         assert (info.id, info.name) == ("REP900", "demo")
 
-    def test_duplicate_id_raises(self):
-        registry = RuleRegistry()
-        registry.register(self._info())
-        with pytest.raises(LintError, match="already registered"):
-            registry.register(self._info(name="other"))
-
     def test_skip_keeps_incumbent(self):
-        registry = RuleRegistry()
+        registry = RULES.clone()
         first = registry.register(self._info(name="first"))
         kept = registry.register(
             self._info(name="second"), on_collision="skip"
         )
         assert kept is first
-        assert registry.resolve("REP900").name == "first"
+        assert resolve_rule(registry, "REP900").name == "first"
 
     def test_replace_takes_newcomer(self):
-        registry = RuleRegistry()
+        registry = RULES.clone()
         registry.register(self._info(name="first"))
         registry.register(
             self._info(name="second"), on_collision="replace"
         )
-        assert registry.resolve("REP900").name == "second"
+        assert resolve_rule(registry, "REP900").name == "second"
 
     def test_malformed_id_rejected(self):
         with pytest.raises(LintError, match="rule id"):
-            RuleRegistry().register(self._info(rule_id="rep1"))
+            self._info(rule_id="rep1")
+
+    def test_resolve_by_id_or_name(self):
+        assert resolve_rule(RULES, "REP001").name == "lock-discipline"
+        assert resolve_rule(RULES, "lock-discipline").id == "REP001"
+        with pytest.raises(LintUsageError, match="unknown rule"):
+            resolve_rule(RULES, "no-such-rule")
 
     def test_builtins_present(self):
         expected = {
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
         }
-        assert expected <= set(RULES.ids())
+        assert expected <= set(RULES.names())
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +675,7 @@ class TestPlugins:
         from repro.analysis import load_plugins
 
         load_plugins(plugins, registry=registry, on_collision=mode)
-        assert registry.resolve("REP006").name == expected_name
+        assert registry["REP006"].name == expected_name
 
     def test_missing_plugin_dir_is_usage_error(self, tmp_path):
         from repro.analysis import load_plugins

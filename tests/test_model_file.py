@@ -6,7 +6,7 @@ import pytest
 
 from repro.dnn.layers import ConvLayer, LinearLayer
 from repro.dnn.models import (
-    MODEL_BUILDERS,
+    BUILTIN_MODELS,
     get_model,
     load_model_file,
     model_from_dict,
@@ -142,56 +142,46 @@ class TestLoadModelFile:
             load_model_file(tmp_path / "nope.json")
 
 
+@pytest.mark.usefixtures("scratch_models")
 class TestRegisterModel:
+    """Runs on a scratch model registry, so nothing registered here
+    leaks into other tests."""
+
     def test_registered_model_resolves_by_name(self):
-        model = model_from_dict(VALID)
-        try:
-            register_model(model)
-            assert get_model("tablenet").name == "TableNet"
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
+        register_model(model_from_dict(VALID))
+        assert get_model("tablenet").name == "TableNet"
 
     def test_shadowing_requires_replace(self):
         model = model_from_dict(VALID)
-        try:
+        register_model(model)
+        with pytest.raises(WorkloadError, match="already registered"):
             register_model(model)
-            with pytest.raises(WorkloadError, match="already registered"):
-                register_model(model)
-            register_model(model, replace=True)
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
+        register_model(model, replace=True)
 
     def test_collision_check_is_case_insensitive(self):
         """get_model resolves case-insensitively, so a case-variant
         that registered would be unreachable — the collision check
         must catch it."""
         data = _copy()
-        try:
+        register_model(model_from_dict(data))
+        data["name"] = "tablenet"
+        with pytest.raises(WorkloadError, match="already registered"):
             register_model(model_from_dict(data))
-            data["name"] = "tablenet"
-            with pytest.raises(WorkloadError, match="already registered"):
-                register_model(model_from_dict(data))
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
 
-    def test_replace_drops_the_old_case_variant(self):
+    def test_replace_drops_the_old_case_variant(self, scratch_models):
         """Replacing under a new spelling must not leave two
         case-variant keys behind (one would be unreachable)."""
         data = _copy()
-        try:
-            register_model(model_from_dict(data))
-            data["name"] = "TABLENET"
-            register_model(model_from_dict(data), replace=True)
-            assert "TableNet" not in MODEL_BUILDERS
-            assert get_model("tablenet").name == "TABLENET"
-        finally:
-            MODEL_BUILDERS.pop("TABLENET", None)
-            MODEL_BUILDERS.pop("TableNet", None)
+        register_model(model_from_dict(data))
+        data["name"] = "TABLENET"
+        register_model(model_from_dict(data), replace=True)
+        assert scratch_models.names() == BUILTIN_MODELS + ("TABLENET",)
+        assert get_model("tablenet").name == "TABLENET"
 
     @pytest.mark.parametrize(
         "name", ["ResNet50", "resnet50", "DEIT-SMALL"]
     )
-    def test_builtins_cannot_be_shadowed(self, name):
+    def test_builtins_cannot_be_shadowed(self, name, scratch_models):
         """Builtins are refused outright — replace=True does not
         override, and every case variant is caught."""
         data = _copy()
@@ -200,7 +190,8 @@ class TestRegisterModel:
         for replace in (False, True):
             with pytest.raises(WorkloadError, match="built-in"):
                 register_model(model, replace=replace)
-        assert name not in MODEL_BUILDERS or name == "ResNet50"
+        assert scratch_models.names() == BUILTIN_MODELS
+        assert get_model(name).name in BUILTIN_MODELS
 
     def test_builtin_inventory(self):
         from repro.dnn.models import BUILTIN_MODELS, is_builtin_model

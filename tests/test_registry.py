@@ -1,18 +1,115 @@
-"""Tests for the design registry layer."""
+"""Tests for the registry layer: the contract every
+:class:`~repro.registry.Registry` instance keeps, then the design
+registry's own behaviour."""
 
 import pytest
 
 from repro.accelerators import (
     REGISTRY,
+    AcceleratorDesign,
+    DesignInfo,
     all_designs,
     main_design_names,
-)
-from repro.accelerators.base import AcceleratorDesign
-from repro.accelerators.registry import (
-    DesignRegistry,
-    RegistryError,
     register_design,
 )
+from repro.analysis import RULES, RuleInfo
+from repro.dnn.models import MODELS, ModelInfo, resnet50
+from repro.errors import EvaluationError, LintError, WorkloadError
+from repro.eval.artifacts import ARTIFACTS, ArtifactInfo
+from repro.registry import Registry, RegistryError
+
+
+def _design(name):
+    return DesignInfo(name, object)
+
+
+def _artifact(name):
+    return ArtifactInfo(
+        name=name, compute=lambda ctx: None, result_type=object,
+        render_text=str,
+    )
+
+
+def _rule(name):
+    return RuleInfo(
+        id=name, name=name.lower(), category="demo", severity="error",
+        fixable=False, check=lambda ctx: [],
+    )
+
+
+def _model(name):
+    return ModelInfo(name, resnet50)
+
+
+#: (process-wide registry, item factory, its collision exception).
+CONTRACT = [
+    pytest.param(REGISTRY, _design, RegistryError, id="designs"),
+    pytest.param(ARTIFACTS, _artifact, EvaluationError, id="artifacts"),
+    pytest.param(RULES, _rule, LintError, id="rules"),
+    pytest.param(MODELS, _model, WorkloadError, id="models"),
+]
+
+
+@pytest.mark.parametrize("registry, make, error", CONTRACT)
+class TestRegistryContract:
+    """Every registry is the same type with the same contract; each
+    check runs on a clone so the process-wide registries stay as
+    they are."""
+
+    def test_duplicate_name_raises(self, registry, make, error):
+        scratch = registry.clone()
+        incumbent = registry.names()[0]
+        with pytest.raises(error, match="already registered"):
+            scratch.register(make(incumbent))
+        assert scratch.infos() == registry.infos()
+
+    def test_unknown_name_raises_keyerror_listing_names(
+        self, registry, make, error
+    ):
+        with pytest.raises(KeyError) as caught:
+            registry["NOSUCHNAME"]
+        message = caught.value.args[0]
+        assert "NOSUCHNAME" in message
+        assert all(name in message for name in registry.names())
+        assert registry.get("NOSUCHNAME") is None
+        assert "NOSUCHNAME" not in registry
+
+    def test_iteration_follows_registration_order(
+        self, registry, make, error
+    ):
+        scratch = registry.clone()
+        scratch.register(make("ZZB"))
+        scratch.register(make("ZZA"))
+        expected = list(registry.names()) + ["ZZB", "ZZA"]
+        assert list(scratch) == expected
+        assert list(scratch.names()) == expected
+        assert [scratch.key(i) for i in scratch.infos()] == expected
+        assert len(scratch) == len(registry) + 2
+        assert "ZZB" not in registry
+
+    def test_skip_keeps_incumbent_and_replace_keeps_newcomer(
+        self, registry, make, error
+    ):
+        scratch = registry.clone()
+        first, second, third = make("ZZA"), make("ZZA"), make("ZZA")
+        assert scratch.register(first) is first
+        assert scratch.register(second, on_collision="skip") is first
+        assert scratch["ZZA"] is first
+        assert scratch.register(second, on_collision="replace") is second
+        assert scratch["ZZA"] is second
+        with scratch.scanning("skip"):
+            assert scratch.register(third) is second
+        with pytest.raises(error, match="already registered"):
+            scratch.register(third)
+        assert scratch.names().count("ZZA") == 1
+
+    def test_unknown_collision_mode_rejected(self, registry, make, error):
+        scratch = registry.clone()
+        with pytest.raises(error, match="collision mode"):
+            scratch.register(make("ZZA"), on_collision="merge")
+        with pytest.raises(error, match="collision mode"):
+            with scratch.scanning("merge"):
+                pass
 
 
 class TestDefaultRegistry:
@@ -32,13 +129,13 @@ class TestDefaultRegistry:
         assert all(isinstance(d, AcceleratorDesign) for d in designs)
 
     def test_create_returns_fresh_instances(self):
-        assert REGISTRY.create("TC") is not REGISTRY.create("TC")
+        assert REGISTRY["TC"].create() is not REGISTRY["TC"].create()
 
     def test_unknown_name_raises_keyerror(self):
         with pytest.raises(KeyError, match="NoSuchDesign"):
             REGISTRY["NoSuchDesign"]
         with pytest.raises(KeyError):
-            REGISTRY.create("NoSuchDesign")
+            REGISTRY["NoSuchDesign"].create()
 
     def test_get_returns_none_for_unknown(self):
         assert REGISTRY.get("NoSuchDesign") is None
@@ -67,14 +164,8 @@ class TestDefaultRegistry:
 
 
 class TestRegistryMechanics:
-    def test_duplicate_registration_raises(self):
-        registry = DesignRegistry()
-        registry.register("X", object)
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register("X", object)
-
     def test_decorator_registration(self):
-        registry = DesignRegistry()
+        registry = Registry("design")
 
         @register_design(registry, category="test", flag=1)
         class Dummy:
@@ -84,11 +175,4 @@ class TestRegistryMechanics:
         assert registry["Dummy"].metadata == {
             "category": "test", "flag": 1,
         }
-        assert isinstance(registry.create("Dummy"), Dummy)
-
-    def test_iteration_preserves_registration_order(self):
-        registry = DesignRegistry()
-        registry.register("B", object)
-        registry.register("A", object)
-        assert [info.name for info in registry] == ["B", "A"]
-        assert registry.names() == ("B", "A")
+        assert isinstance(registry["Dummy"].create(), Dummy)

@@ -21,17 +21,17 @@ from pathlib import Path
 import pytest
 
 from repro.accelerators import main_design_names
-from repro.errors import ServeError
+from repro.errors import EvaluationError, ServeError
 from repro.eval import cache as cache_mod
 from repro.eval import experiments as E
 from repro.eval.artifacts import (
     ArtifactFinished,
-    ArtifactRegistry,
     RunPlan,
     artifact,
     finished_event_line,
 )
 from repro.eval.engine import EngineContext, SweepResult
+from repro.registry import Registry
 from repro.serve import protocol
 from repro.serve.server import EvaluationService
 
@@ -197,11 +197,11 @@ class TestSweepSpec:
         assert a.digest == b.digest
         assert a.model is not None and a.model.name == "ServeNet"
 
-    def test_inline_models_are_not_registered_globally(self):
-        from repro.dnn.models import MODEL_BUILDERS
-
+    def test_inline_models_are_not_registered_globally(
+        self, scratch_models
+    ):
         protocol.parse_sweep_spec({"model": dict(MODEL_TABLE)})
-        assert "ServeNet" not in MODEL_BUILDERS
+        assert "ServeNet" not in scratch_models
 
     @pytest.mark.parametrize(
         ("bad", "match"),
@@ -523,7 +523,7 @@ class TestSweepStream:
 def _gated_registry(gate):
     """A registry with a 'gated' artifact that blocks on ``gate``
     before evaluating one tiny grid, plus an ungated 'quick' one."""
-    registry = ArtifactRegistry()
+    registry = Registry("artifact", EvaluationError)
 
     @artifact("gated", SweepResult, text=lambda r: "gated",
               registry=registry)

@@ -1,12 +1,11 @@
-"""Scalar vs batch evaluation of the analytical model, head to head.
+"""The analytical cost models on their own, one design at a time.
 
 The engine's sweep benchmarks (`bench_network_sweep.py`,
 `bench_fig13.py`) time the whole pipeline — realization, caching,
-persistence. This module isolates the model itself: the same workload
-population evaluated once through the scalar reference path and once
-through each design's vectorized ``evaluate_batch``, so the per-design
-batching win is visible on its own. The two paths are bit-identical
-(`tests/test_batch_eval.py` asserts it); here we only measure.
+persistence. This module isolates the model itself: a Fig. 13-style
+workload population evaluated through each design's ``evaluate_batch``
+(`tests/test_batch_eval.py` pins the results to a frozen reference;
+here we only measure).
 """
 
 import itertools
@@ -39,30 +38,8 @@ def _workloads(design_name):
 
 
 @pytest.mark.parametrize("design_name", sorted(REGISTRY.names()))
-def test_scalar_eval(benchmark, estimator, design_name):
-    design = REGISTRY[design_name].shared
-    workloads = _workloads(design_name)
-
-    def run():
-        return [
-            design.evaluate(w, estimator)
-            if design.supports(w) else None
-            for w in workloads
-        ]
-
-    results = benchmark(run)
-    emit(
-        f"Scalar eval [{design_name}]",
-        f"{len(workloads)} workloads, "
-        f"{sum(r is not None for r in results)} supported",
-    )
-
-
-@pytest.mark.parametrize("design_name", sorted(REGISTRY.names()))
 def test_batch_eval(benchmark, estimator, design_name):
     design = REGISTRY[design_name].shared
-    if not design.batch_capable:
-        pytest.skip(f"{design_name} has no batch path")
     workloads = _workloads(design_name)
 
     def run():

@@ -10,7 +10,7 @@ a design is one decorated class.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -29,11 +29,6 @@ class AcceleratorDesign(abc.ABC):
     #: Short name used in tables/figures.
     name: str
 
-    #: Whether :meth:`evaluate_batch` is implemented. The engine routes
-    #: cache-miss batches through the vectorized path only for designs
-    #: that declare it; everything else keeps the scalar path.
-    batch_capable: bool = False
-
     def __init__(self, resources: DesignResources) -> None:
         self.resources = resources
 
@@ -44,24 +39,24 @@ class AcceleratorDesign(abc.ABC):
         results."""
 
     @abc.abstractmethod
-    def evaluate(
-        self, workload: MatmulWorkload, estimator: Estimator
-    ) -> Metrics:
-        """Cost the workload as given (no operand swap)."""
-
     def evaluate_batch(
         self, batch: WorkloadBatch, estimator: Estimator
     ) -> List[Metrics]:
-        """Cost a batch of *supported* workloads as given, one Metrics
-        per workload, bit-identical to :meth:`evaluate` on each.
+        """The design's cost model: one Metrics per workload of a
+        batch of *supported* workloads, costed as given (no operand
+        swap).
 
-        Callers must pre-filter with :meth:`supports` (see
-        :func:`evaluate_workloads_batch`); designs with
-        ``batch_capable = False`` raise.
+        Callers pre-filter with :meth:`supports` (see
+        :func:`evaluate_workloads_batch`).
         """
-        raise NotImplementedError(
-            f"{self.name} has no batch evaluation path"
-        )
+
+    @abc.abstractmethod
+    def evaluate(
+        self, workload: MatmulWorkload, estimator: Estimator
+    ) -> Metrics:
+        """Cost one workload as given: row 0 of :meth:`evaluate_batch`
+        on a one-workload batch. Each design spells this out in its
+        own class body, so per-class instrumentation can wrap it."""
 
     @property
     def supported_patterns(self) -> str:
@@ -130,11 +125,11 @@ def evaluate_workloads_batch(
         Callable[[List[MatmulWorkload]], WorkloadBatch]
     ] = None,
 ) -> List[Optional[Metrics]]:
-    """Batch counterpart of the engine's per-pair evaluation unit:
-    Metrics per workload as given, ``None`` where unsupported.
+    """Metrics per workload as given, ``None`` where unsupported — the
+    unit every evaluation path (engine, harness, operand swap) goes
+    through.
 
-    Unsupported workloads are filtered out before stacking (exactly the
-    scalar :func:`~repro.eval.harness.evaluate_workload` rule) and the
+    Unsupported workloads are filtered out before stacking and the
     supported remainder is costed in one :meth:`~AcceleratorDesign
     .evaluate_batch` call. ``batch_source`` overrides how the supported
     workloads are stacked — the engine's shared-batch planner passes
@@ -176,25 +171,14 @@ def best_orientation(
     (Sec. 7.1.1). Raises :class:`UnsupportedWorkloadError` when neither
     orientation is supported.
     """
-    candidates = []
-    if design.supports(workload):
-        candidates.append(design.evaluate(workload, estimator))
-    if allow_swap:
-        swapped = workload.swapped()
-        if design.supports(swapped):
-            metrics = design.evaluate(swapped, estimator)
-            candidates.append(
-                _mark_swapped(metrics)
-            )
-    if not candidates:
+    candidates = [workload, workload.swapped()] if allow_swap else [workload]
+    results = evaluate_workloads_batch(design, candidates, estimator)
+    if len(results) > 1 and results[1] is not None:
+        results[1] = replace(results[1], swapped=True)
+    supported = [metrics for metrics in results if metrics is not None]
+    if not supported:
         raise UnsupportedWorkloadError(
             f"{design.name} supports neither orientation of "
             f"{workload.describe()}"
         )
-    return min(candidates, key=lambda metrics: metrics.edp)
-
-
-def _mark_swapped(metrics: Metrics) -> Metrics:
-    from dataclasses import replace
-
-    return replace(metrics, swapped=True)
+    return min(supported, key=lambda metrics: metrics.edp)

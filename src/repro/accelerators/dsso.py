@@ -21,12 +21,7 @@ from repro.compression.formats import offset_bits
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
 from repro.model.batch import WorkloadBatch
-from repro.model.perf import (
-    build_metrics,
-    build_metrics_batch,
-    compute_cycles,
-    compute_cycles_array,
-)
+from repro.model.perf import build_metrics_batch, cycle_count
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, Structure
 from repro.sparsity.pattern import GHRange
@@ -45,7 +40,6 @@ class DSSO(AcceleratorDesign):
     """The dual-side HSS design of Fig. 17."""
 
     name = "DSSO"
-    batch_capable = True
 
     def __init__(self) -> None:
         # Same hardware resources as HighLight (the study isolates the
@@ -88,56 +82,9 @@ class DSSO(AcceleratorDesign):
     def evaluate(
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
-        if not self.supports(workload):
-            raise UnsupportedWorkloadError(
-                f"DSSO cannot process {workload.describe()}"
-            )
-        resources = self.resources
-        density_a = workload.a.density
-        density_b = workload.b.density
-        # Dual-side skipping: both structured densities turn into
-        # speedup; dense-sparse intersections balance perfectly.
-        scheduled = workload.dense_products * density_a * density_b
-
-        a_words = workload.m * workload.k * density_a
-        a_meta_words = (
-            a_words * offset_bits(DSSO_A_RANK0.h_max) / WORD_BITS
-            if not workload.a.is_dense
-            else 0.0
-        )
-        b_words = workload.k * workload.n * density_b
-        b_blocks = b_words / max(1, DSSO_A_RANK0.h_max)
-        b_meta_words = (
-            b_blocks * offset_bits(DSSO_B_RANK1.h_max) / WORD_BITS
-            if not workload.b.is_dense
-            else 0.0
-        )
-
-        reuse = resources.operand_reuse
-        b_fetch = scheduled / reuse
-        cycles = compute_cycles(scheduled, resources.arch.num_macs, 1.0)
-        saf_events = [
-            ("rank0_mux", "select", scheduled),
-            ("rank1_addr_mux", "select", scheduled / DSSO_A_RANK0.g),
-            ("vfmu", "write_word", b_fetch),
-            ("vfmu", "block_read", cycles * 4),
-            ("vfmu", "shift", cycles * 4),
-        ]
-        return build_metrics(
-            workload=workload,
-            resources=resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta_words,
-            b_stored_words=b_words,
-            b_meta_words=b_meta_words,
-            b_fetch_words=b_fetch,
-            saf_events=saf_events,
-            compress_values=b_words if not workload.b.is_dense else 0.0,
-        )
+        return self.evaluate_batch(
+            WorkloadBatch.from_workloads([workload]), estimator
+        )[0]
 
     def evaluate_batch(
         self, batch: WorkloadBatch, estimator: Estimator
@@ -150,6 +97,8 @@ class DSSO(AcceleratorDesign):
         resources = self.resources
         density_a = batch.a_density
         density_b = batch.b_density
+        # Dual-side skipping: both structured densities turn into
+        # speedup; dense-sparse intersections balance perfectly.
         scheduled = batch.dense_products * density_a * density_b
 
         a_words = batch.mk * density_a
@@ -168,9 +117,7 @@ class DSSO(AcceleratorDesign):
 
         reuse = resources.operand_reuse
         b_fetch = scheduled / reuse
-        cycles = compute_cycles_array(
-            scheduled, resources.arch.num_macs, 1.0
-        )
+        cycles = cycle_count(scheduled, resources.arch.num_macs, 1.0)
         saf_events = [
             ("rank0_mux", "select", scheduled),
             ("rank1_addr_mux", "select", scheduled / DSSO_A_RANK0.g),

@@ -24,12 +24,7 @@ from repro.model.density import (
     HIGHLIGHT_RANK1,
     highlight_supported_density,
 )
-from repro.model.perf import (
-    build_metrics,
-    build_metrics_batch,
-    compute_cycles,
-    compute_cycles_array,
-)
+from repro.model.perf import build_metrics_batch, cycle_count
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, Structure
 
@@ -47,7 +42,6 @@ class HighLight(AcceleratorDesign):
     """The HSS accelerator (Table 3 row "HighLight")."""
 
     name = "HighLight"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(highlight_resources())
@@ -66,26 +60,23 @@ class HighLight(AcceleratorDesign):
     def evaluate(
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
-        """Cost the workload, choosing the better operand-B handling.
+        return self.evaluate_batch(
+            WorkloadBatch.from_workloads([workload]), estimator
+        )[0]
+
+    def evaluate_batch(
+        self, batch: WorkloadBatch, estimator: Estimator
+    ) -> List[Metrics]:
+        """Cost each workload, choosing the better operand-B handling.
 
         Table 3 lists operand B as "dense; unstructured sparse": the
         hardware can stream B uncompressed (gating still applies — the
         MACs detect zero operands either way) or compressed through the
         three-level metadata path. Compression pays on sparse
         activations but is pure overhead near-dense, so the design
-        takes whichever mode yields the lower EDP.
+        takes whichever mode yields the lower EDP per workload (the
+        uncompressed mode on ties).
         """
-        variants = [self._evaluate(workload, estimator, False)]
-        if not workload.b.is_dense:
-            variants.append(self._evaluate(workload, estimator, True))
-        return min(variants, key=lambda metrics: metrics.edp)
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        """Batched :meth:`evaluate`: both operand-B modes, lower EDP
-        wins per workload (the uncompressed variant on ties, exactly
-        like the scalar ``min``)."""
         results = self._evaluate_batch(batch, estimator, False)
         sparse_b = [
             i for i, workload in enumerate(batch.workloads)
@@ -101,89 +92,14 @@ class HighLight(AcceleratorDesign):
                 results[i] = candidate
         return results
 
-    def _evaluate(
-        self,
-        workload: MatmulWorkload,
-        estimator: Estimator,
-        compress_b: bool,
-    ) -> Metrics:
-        resources = self.resources
-        scheduled_density = highlight_supported_density(workload.a)
-        scheduled = workload.dense_products * scheduled_density
-
-        # --- operand B gating ---------------------------------------
-        exploitable_b_sparsity = self._exploitable_b_sparsity(workload)
-        gated = scheduled * exploitable_b_sparsity
-        full = scheduled - gated
-
-        # --- operand A storage (hierarchical CP, Fig. 9) -------------
-        a_nnz = workload.m * workload.k * workload.a.density
-        a_meta_bits = a_nnz * offset_bits(HIGHLIGHT_RANK0.h_max)
-        if workload.a.structure is Structure.HSS:
-            nonempty_blocks = a_nnz / max(1, HIGHLIGHT_RANK0.g)
-            a_meta_bits += nonempty_blocks * offset_bits(
-                HIGHLIGHT_RANK1.h_max
-            )
-        a_meta_words = (
-            a_meta_bits / WORD_BITS if not workload.a.is_dense else 0.0
-        )
-        a_words = a_nnz
-
-        # --- operand B storage (three-level metadata, Fig. 12) -------
-        b_slots = workload.k * workload.n
-        b_compressed = compress_b and not workload.b.is_dense
-        b_density_stored = (
-            1.0 - exploitable_b_sparsity if b_compressed else 1.0
-        )
-        b_words = b_slots * b_density_stored
-        b_meta_words = self._b_meta_words(b_slots, b_words) if b_compressed \
-            else 0.0
-
-        # --- fetch + VFMU activity ------------------------------------
-        reuse = resources.operand_reuse
-        b_fetch = scheduled * b_density_stored / reuse
-        cycles = compute_cycles(scheduled, resources.arch.num_macs, 1.0)
-        num_pe_arrays = 4
-        saf_events = [
-            # Rank0 SAF: every scheduled product selects its B value
-            # through the per-PE 4-to-2 mux.
-            ("rank0_mux", "select", scheduled),
-            # Rank1 SAF: one block selection per G0-sized block.
-            ("rank1_addr_mux", "select", scheduled / HIGHLIGHT_RANK0.g),
-            # VFMU: refill words, plus a shifted block read per array
-            # per processing step.
-            ("vfmu", "write_word", b_fetch),
-            ("vfmu", "block_read", cycles * num_pe_arrays),
-            ("vfmu", "shift", cycles * num_pe_arrays),
-        ]
-        compress = b_words if b_compressed else 0.0
-        return build_metrics(
-            workload=workload,
-            resources=resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=full,
-            gated_macs=gated,
-            a_stored_words=a_words,
-            a_meta_words=a_meta_words,
-            b_stored_words=b_words,
-            b_meta_words=b_meta_words,
-            b_fetch_words=b_fetch,
-            saf_events=saf_events,
-            compress_values=compress,
-        )
-
     def _evaluate_batch(
         self,
         batch: WorkloadBatch,
         estimator: Estimator,
         compress_b: bool,
     ) -> List[Metrics]:
-        """Vectorized :meth:`_evaluate` (same expressions, same
-        operation order, over stacked arrays). With ``compress_b`` the
-        caller passes only sparse-B workloads, mirroring the scalar
-        variant construction."""
+        """Cost the batch in one operand-B mode; with ``compress_b``
+        the caller passes only sparse-B workloads."""
         resources = self.resources
         scheduled_density = np.array(
             batch.map_a(highlight_supported_density), dtype=np.float64
@@ -191,6 +107,9 @@ class HighLight(AcceleratorDesign):
         scheduled = batch.dense_products * scheduled_density
 
         # --- operand B gating ---------------------------------------
+        # The fraction of scheduled MACs that can be gated on B zeros:
+        # none for dense B, all of them at statically known (HSS)
+        # locations, and less the haircut for unstructured B.
         b_sparsity = 1.0 - batch.b_density
         exploitable_b_sparsity = np.where(
             batch.b_is_dense,
@@ -232,17 +151,16 @@ class HighLight(AcceleratorDesign):
         # --- fetch + VFMU activity ------------------------------------
         reuse = resources.operand_reuse
         b_fetch = scheduled * b_density_stored / reuse
-        cycles = compute_cycles_array(
-            scheduled, resources.arch.num_macs, 1.0
-        )
+        cycles = cycle_count(scheduled, resources.arch.num_macs, 1.0)
         num_pe_arrays = 4
         saf_events = [
+            # Rank0 SAF: every scheduled product selects its B value
+            # through the per-PE 4-to-2 mux.
             ("rank0_mux", "select", scheduled),
-            (
-                "rank1_addr_mux",
-                "select",
-                scheduled / HIGHLIGHT_RANK0.g,
-            ),
+            # Rank1 SAF: one block selection per G0-sized block.
+            ("rank1_addr_mux", "select", scheduled / HIGHLIGHT_RANK0.g),
+            # VFMU: refill words, plus a shifted block read per array
+            # per processing step.
             ("vfmu", "write_word", b_fetch),
             ("vfmu", "block_read", cycles * num_pe_arrays),
             ("vfmu", "shift", cycles * num_pe_arrays),
@@ -263,16 +181,6 @@ class HighLight(AcceleratorDesign):
             saf_events=saf_events,
             compress_values=b_words if compress_b else 0.0,
         )
-
-    @staticmethod
-    def _exploitable_b_sparsity(workload: MatmulWorkload) -> float:
-        """Fraction of scheduled MACs that can be gated on B zeros."""
-        if workload.b.is_dense:
-            return 0.0
-        if workload.b.structure is Structure.HSS:
-            # Statically known locations: fully exploitable.
-            return workload.b.sparsity
-        return max(0.0, workload.b.sparsity - B_SPARSITY_HAIRCUT)
 
     @staticmethod
     def _b_meta_words(b_slots: float, b_stored: float) -> float:

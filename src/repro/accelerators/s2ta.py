@@ -18,11 +18,8 @@ from repro.accelerators.base import AcceleratorDesign, register_design
 from repro.arch.designs import s2ta_resources
 from repro.energy.estimator import Estimator
 from repro.model.batch import WorkloadBatch
-from repro.model.density import (
-    s2ta_quantized_density,
-    s2ta_quantized_density_array,
-)
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.density import s2ta_quantized_density
+from repro.model.perf import build_metrics_batch
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -48,7 +45,6 @@ class S2TA(AcceleratorDesign):
     """S2TA-like design (Table 3: A C0({G<=4}:8); B C0({G<=8}:8))."""
 
     name = "S2TA"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(s2ta_resources())
@@ -61,51 +57,23 @@ class S2TA(AcceleratorDesign):
         # Operand A must be at least 50% sparse at G:8 granularity;
         # the design has no dense-A mode (Table 3 has no "dense" entry
         # for its operand A).
-        return s2ta_quantized_density(workload.a) <= MAX_A_DENSITY + 1e-12
+        return bool(
+            s2ta_quantized_density(workload.a.density)
+            <= MAX_A_DENSITY + 1e-12
+        )
 
     def evaluate(
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
-        q_a = s2ta_quantized_density(workload.a)
-        q_b = s2ta_quantized_density(workload.b)
-        scheduled_b = max(q_b, MIN_B_SCHEDULED_DENSITY)
-        scheduled = workload.dense_products * q_a * scheduled_b
-
-        a_words = workload.m * workload.k * q_a
-        b_words = workload.k * workload.n * q_b
-        a_meta = a_words * META_BITS_PER_VALUE / WORD_BITS
-        b_meta = b_words * META_BITS_PER_VALUE / WORD_BITS
-
-        spill = scheduled / SPILL_INTERVAL
-        saf_events = [
-            ("a_select_mux", "select", scheduled),
-            ("b_select_mux", "select", scheduled),
-            # Partial-sum spills to the GLB (read-modify-write).
-            ("glb_data", "read", spill),
-            ("glb_data", "write", spill),
-        ]
-        return build_metrics(
-            workload=workload,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta,
-            b_stored_words=b_words,
-            b_meta_words=b_meta,
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-            saf_events=saf_events,
-            compress_values=b_words,
-            supported=True,
-        )
+        return self.evaluate_batch(
+            WorkloadBatch.from_workloads([workload]), estimator
+        )[0]
 
     def evaluate_batch(
         self, batch: WorkloadBatch, estimator: Estimator
     ) -> List[Metrics]:
-        q_a = s2ta_quantized_density_array(batch.a_density)
-        q_b = s2ta_quantized_density_array(batch.b_density)
+        q_a = s2ta_quantized_density(batch.a_density)
+        q_b = s2ta_quantized_density(batch.b_density)
         scheduled_b = np.maximum(q_b, MIN_B_SCHEDULED_DENSITY)
         scheduled = batch.dense_products * q_a * scheduled_b
 
@@ -118,6 +86,7 @@ class S2TA(AcceleratorDesign):
         saf_events = [
             ("a_select_mux", "select", scheduled),
             ("b_select_mux", "select", scheduled),
+            # Partial-sum spills to the GLB (read-modify-write).
             ("glb_data", "read", spill),
             ("glb_data", "write", spill),
         ]

@@ -17,7 +17,7 @@ from repro.arch.designs import stc_resources
 from repro.energy.estimator import Estimator
 from repro.model.batch import WorkloadBatch
 from repro.model.density import stc_effective_density
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.perf import build_metrics_batch
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -32,7 +32,6 @@ class STC(AcceleratorDesign):
     """Sparse-tensor-core-like design (Table 3: A dense or C0({G<=2}:4))."""
 
     name = "STC"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(stc_resources())
@@ -49,30 +48,9 @@ class STC(AcceleratorDesign):
     def evaluate(
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
-        scheduled_density, sparse_mode = stc_effective_density(workload.a)
-        scheduled = workload.dense_products * scheduled_density
-        a_words = workload.m * workload.k * scheduled_density
-        a_meta = (
-            a_words * META_BITS_PER_VALUE / WORD_BITS if sparse_mode else 0.0
-        )
-        saf_events = []
-        if sparse_mode:
-            # Every scheduled product routes its B operand through the
-            # 4-to-2 selection muxes.
-            saf_events.append(("b_select_mux", "select", scheduled))
-        return build_metrics(
-            workload=workload,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta,
-            b_stored_words=float(workload.k * workload.n),
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-            saf_events=saf_events,
-        )
+        return self.evaluate_batch(
+            WorkloadBatch.from_workloads([workload]), estimator
+        )[0]
 
     def evaluate_batch(
         self, batch: WorkloadBatch, estimator: Estimator
@@ -92,6 +70,8 @@ class STC(AcceleratorDesign):
             0.0,
         )
         saf_events = [
+            # In sparse mode every scheduled product routes its B
+            # operand through the 4-to-2 selection muxes.
             (
                 "b_select_mux",
                 "select",

@@ -13,7 +13,7 @@ from repro.accelerators.base import AcceleratorDesign, register_design
 from repro.arch.designs import tc_resources
 from repro.energy.estimator import Estimator
 from repro.model.batch import WorkloadBatch
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.perf import build_metrics_batch
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -24,7 +24,6 @@ class TC(AcceleratorDesign):
     """Dense accelerator: 320 KB GLB, 4 x 2 KB RF, 1024 MACs."""
 
     name = "TC"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(tc_resources())
@@ -40,20 +39,9 @@ class TC(AcceleratorDesign):
     def evaluate(
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
-        scheduled = float(workload.dense_products)
-        a_words = float(workload.m * workload.k)
-        b_words = float(workload.k * workload.n)
-        return build_metrics(
-            workload=workload,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            b_stored_words=b_words,
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-        )
+        return self.evaluate_batch(
+            WorkloadBatch.from_workloads([workload]), estimator
+        )[0]
 
     def evaluate_batch(
         self, batch: WorkloadBatch, estimator: Estimator

@@ -1,16 +1,16 @@
 """REP003 float-determinism: no reductions over unordered iteration.
 
-The golden tests lock batch and scalar evaluation to *bit-identical*
-results, which makes IEEE-754 addition order part of the contract:
-``sum`` over a ``set`` (or anything whose iteration order is
-implementation-defined) can legally produce a different
-last-ulp result between runs or Python versions.  In the hot-path
-modules (``model/batch.py``, ``model/metrics.py``, ``energy/``) this
-rule flags ``sum``/``functools.reduce``/``np.sum``-family reductions
-whose operand is a set literal/comprehension, a ``set()``/
-``frozenset()`` call, a set-algebra expression over ``dict.keys()``
-views, a ``.keys()`` view itself, or a comprehension drawing from any
-of those.  Fold over an explicitly ordered sequence (a list, a sorted
+The golden tests and the frozen metrics reference pin the cost
+models to *bit-identical* results, which makes IEEE-754 addition order
+part of the contract: ``sum`` over a ``set`` (or anything whose
+iteration order is implementation-defined) can legally produce a
+different last-ulp result between runs or Python versions.  In the
+modules holding the cost-model arithmetic (``model/``, ``energy/``,
+``accelerators/``) this rule flags ``sum``/``functools.reduce``/
+``np.sum``-family reductions whose operand is a set
+literal/comprehension, a ``set()``/``frozenset()`` call, a set-algebra
+expression over ``dict.keys()`` views, a ``.keys()`` view itself, or a
+comprehension drawing from any of those.  Fold over an explicitly ordered sequence (a list, a sorted
 view, ``.values()`` in insertion order) instead.
 """
 
@@ -87,10 +87,10 @@ def _reduction_operand(node: ast.Call) -> Optional[ast.expr]:
     id="REP003",
     category="bit-exactness",
     severity="error",
-    paths=("*model/batch.py", "*model/metrics.py", "*energy/*.py"),
+    paths=("*model/*.py", "*energy/*.py", "*accelerators/*.py"),
 )
 def check_float_determinism(ctx: FileContext) -> Iterator[Finding]:
-    """Hot-path reductions must fold in a pinned, reproducible
+    """Cost-model reductions must fold in a pinned, reproducible
     order — never over set/keys-view iteration."""
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):

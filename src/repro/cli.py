@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -171,6 +172,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
 def _port(text: str) -> int:
     try:
         value = int(text)
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="operand-B sparsity degrees (default: the Fig. 13 grid)",
     )
     sweep.add_argument(
-        "--size", type=int, default=None, metavar="N",
+        "--size", type=_positive_int, default=None, metavar="N",
         help="cubic GEMM side M=K=N (default 1024)",
     )
     sweep.add_argument(
@@ -422,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grid)",
     )
     queue.add_argument(
-        "--size", type=int, default=None, metavar="N",
+        "--size", type=_positive_int, default=None, metavar="N",
         help="(fill) cubic GEMM side M=K=N (default 1024)",
     )
     queue.add_argument(
@@ -472,14 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {queue_mod.DEFAULT_BATCH_SIZE})",
     )
     worker.add_argument(
-        "--lease", type=float, default=queue_mod.DEFAULT_LEASE_S,
+        "--lease", type=_positive_float, default=queue_mod.DEFAULT_LEASE_S,
         metavar="S",
         help="seconds a claim stays valid without a heartbeat renewal "
         f"(default {queue_mod.DEFAULT_LEASE_S:g}; a crashed worker's "
         "cells are reclaimed after this long)",
     )
     worker.add_argument(
-        "--poll", type=float, default=1.0, metavar="S",
+        "--poll", type=_positive_float, default=1.0, metavar="S",
         help="seconds between claim attempts while other workers hold "
         "the remaining cells (default 1)",
     )

@@ -66,7 +66,7 @@ class Estimator:
         self._energy_by_identity: Dict[
             Tuple[int, str], Tuple[Component, float]
         ] = {}
-        # Priced event-schema vectors for the batch path, keyed by
+        # Priced event-schema vectors for the cost models, keyed by
         # architecture identity + event tuple (see energy_vector_for).
         self._vector_cache: Dict[
             Tuple[int, Tuple[Tuple[str, str], ...]],
@@ -126,7 +126,7 @@ class Estimator:
         The bulk query of the batched pricing layer: one call resolves
         every (component, action) of an activity matrix, and each
         energy is the exact value :meth:`energy_pj` returns (same
-        cache), so batch pricing cannot drift from scalar pricing.
+        cache), so the two can never disagree.
         """
         return np.array(
             [
@@ -148,8 +148,8 @@ class Estimator:
         over and over (one per metadata/compression variant), so the
         component lookups and per-event pricing calls collapse to one
         dict hit per batch. Values come from the same ``energy_pj``
-        cache as the scalar path, so batch pricing cannot drift from
-        scalar pricing; the memo pins the arch so its id stays valid,
+        cache, so vector and per-action prices cannot drift apart;
+        the memo pins the arch so its id stays valid,
         and the vector is marked read-only because it is shared.
         """
         key = (id(arch), events)

@@ -49,11 +49,7 @@ from repro.accelerators.base import (
 from repro.energy.estimator import Estimator
 from repro.errors import EvaluationError
 from repro.eval import cache as cache_mod
-from repro.eval.harness import (
-    best_metrics,
-    evaluate_workload,
-    realize_workloads,
-)
+from repro.eval.harness import best_metrics, realize_workloads
 from repro.model.batch import SharedWorkloadStack
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
@@ -352,24 +348,18 @@ class SweepEngine:
         estimator: Optional[Estimator] = None,
         registry: Optional[Registry[DesignInfo]] = None,
         cache: Optional[cache_mod.PersistentCache] = None,
-        use_batch: bool = True,
     ) -> None:
         self.estimator = estimator if estimator is not None else Estimator()
         self.registry = registry if registry is not None else REGISTRY
         self.persistent = cache
-        #: Route cache-miss batches through the designs' vectorized
-        #: ``evaluate_batch`` path (``False`` forces the scalar
-        #: reference path — benchmarks use it for before/after timing).
-        self.use_batch = use_batch
         #: Minimum seconds between end-of-batch persistent-cache
         #: flushes (``close()`` and the failure path always flush).
         #: 0 restores the old flush-every-batch behavior.
         self.flush_interval = 5.0
-        #: Upper bound on rows per batch-path completion chunk. Large
-        #: design groups are split so an interrupt mid-grid loses at
-        #: most this many evaluations of in-progress work (each
-        #: completed chunk is recorded — and flush-eligible — before
-        #: the next), matching the scalar path's durability story.
+        #: Upper bound on rows per completion chunk. Large design
+        #: groups are split so an interrupt mid-grid loses at most
+        #: this many evaluations of in-progress work (each completed
+        #: chunk is recorded — and flush-eligible — before the next).
         self.batch_chunk_rows = 256
         self.stats = EngineStats()
         self._cache: Dict[PairKey, Optional[Metrics]] = {}
@@ -425,12 +415,6 @@ class SweepEngine:
                 self._instances[name] = self.registry[name].shared
             return self._instances[name]
 
-    def _evaluate_pair(self, pair: Pair) -> Optional[Metrics]:
-        design_name, workload = pair
-        return evaluate_workload(
-            self.design(design_name), workload, self.estimator
-        )
-
     def flush(self) -> None:
         """Flush the persistent cache (if any) unconditionally.
 
@@ -465,63 +449,24 @@ class SweepEngine:
             pass
 
     def _run_misses(self, own: Dict[PairKey, Pair]):
-        """Chunks of ``(key, metrics)`` results for every owned miss,
-        yielded as they complete.
+        """Chunks of ``(key, metrics)`` results for every owned miss
+        (at least one), yielded in plan order as they complete.
 
-        Misses on batch-capable designs are grouped per design,
-        chunked to at most :attr:`batch_chunk_rows` rows, and
-        evaluated through the vectorized ``evaluate_batch`` path (one
-        numpy pass instead of one Python model walk per pair), over one
-        shared workload stack when the miss set spans several designs
-        (see :meth:`_run_batch_groups`). The rest — non-batch designs,
-        or everything when ``use_batch`` is off — goes through the
-        scalar path one pair at a time. Both paths produce
-        bit-identical Metrics, so the caller records results the same
-        way regardless of route. Each yielded chunk is the unit of
-        completion — at most ``batch_chunk_rows`` pairs on the batch
-        path, a single pair on the scalar path — which is also the
-        interrupt-durability granularity.
-        """
-        scalar: Dict[PairKey, Pair] = {}
-        grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]] = {}
-        designs: Dict[str, AcceleratorDesign] = {}
-        if self.use_batch:
-            for key, (design_name, workload) in own.items():
-                design = designs.get(design_name)
-                if design is None:
-                    design = designs[design_name] = self.design(
-                        design_name
-                    )
-                if design.batch_capable:
-                    grouped.setdefault(design_name, []).append(
-                        (key, workload)
-                    )
-                else:
-                    scalar[key] = (design_name, workload)
-        else:
-            scalar = dict(own)
-        if grouped:
-            yield from self._run_batch_groups(grouped, designs)
-        for key, pair in scalar.items():
-            yield [(key, self._evaluate_pair(pair))]
-
-    def _run_batch_groups(
-        self,
-        grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]],
-        designs: Dict[str, AcceleratorDesign],
-    ):
-        """Batch-path chunks of ``(key, metrics)``, yielded in plan
-        order as each is evaluated.
-
-        When the miss set spans more than one design group, the union
-        of their workloads is stacked *once* into a
+        Misses are grouped per design, chunked to at most
+        :attr:`batch_chunk_rows` rows, and evaluated through the
+        designs' ``evaluate_batch`` (one numpy pass per chunk). The
+        union of all groups' workloads is stacked *once* into a
         :class:`~repro.model.batch.SharedWorkloadStack` (fully
         materialized: dimension products, structure masks, operand
-        keys, descriptions) and each group evaluates against a sliced
-        view — the per-design restacking this replaces was the
-        cross-design headroom left by the original batch path. Results
-        are bit-identical to the scalar path.
+        keys, descriptions) and each chunk evaluates against a sliced
+        view instead of restacking per design; the views are
+        value-identical to a fresh stack, so results are bit-identical.
+        Each yielded chunk is the unit of completion, which is also the
+        interrupt-durability granularity.
         """
+        grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]] = {}
+        for key, (design_name, workload) in own.items():
+            grouped.setdefault(design_name, []).append((key, workload))
         # One stack even for a single design group: the stack layer
         # memoizes materialized batches by workload identity, so a
         # repeated miss set (benchmark rounds, re-sweeps against a
@@ -533,10 +478,11 @@ class SweepEngine:
         )
         chunk_rows = max(1, self.batch_chunk_rows)
         for design_name, group in grouped.items():
+            design = self.design(design_name)
             for start in range(0, len(group), chunk_rows):
                 chunk = group[start:start + chunk_rows]
                 metrics_list = self._evaluate_batch_chunk(
-                    designs[design_name], chunk, stack
+                    design, chunk, stack
                 )
                 yield [
                     (key, metrics)

@@ -15,7 +15,10 @@ import math
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.base import (
+    AcceleratorDesign,
+    evaluate_workloads_batch,
+)
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
 from repro.model.metrics import Metrics
@@ -170,10 +173,8 @@ def evaluate_workload(
 ) -> Optional[Metrics]:
     """Metrics for one (design, workload) pair as given — no operand
     swap, no candidate selection — or ``None`` when the design cannot
-    process the workload. This is the engine's unit of memoization."""
-    if not design.supports(workload):
-        return None
-    return design.evaluate(workload, estimator)
+    process the workload."""
+    return evaluate_workloads_batch(design, [workload], estimator)[0]
 
 
 def best_metrics(
@@ -203,12 +204,11 @@ def evaluate_cell(
     """Best-EDP metrics for one (degree_A, degree_B) cell, or ``None``
     when the design supports no realization (S2TA on dense-dense)."""
     return best_metrics(
-        [
-            evaluate_workload(design, workload, estimator)
-            for workload in realize_workloads(
-                design.name, sparsity_a, sparsity_b, m, k, n
-            )
-        ]
+        evaluate_workloads_batch(
+            design,
+            realize_workloads(design.name, sparsity_a, sparsity_b, m, k, n),
+            estimator,
+        )
     )
 
 

@@ -9,7 +9,7 @@ existing SQLite cache database* (the ``<fingerprint>.db`` file of
 :mod:`repro.eval.cache`, reusing its WAL setup and fingerprint guard),
 and N ``repro worker`` processes on N machines claim batches
 transactionally, evaluate them through the shared
-:class:`~repro.eval.engine.SweepEngine` batch path, write results into
+:class:`~repro.eval.engine.SweepEngine`, write results into
 the co-located cache ``entries`` table, and mark the rows done.
 
 Semantics:

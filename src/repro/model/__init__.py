@@ -10,9 +10,9 @@ The model follows the Sparseloop methodology the paper uses [54]:
 3. a *dataflow* description provides reuse factors
    (:mod:`repro.model.dataflow`);
 4. per-design evaluation produces component *activity counts*
-   (:mod:`repro.model.activity`) which, with the Accelergy-style
-   estimator, become energy; cycle counts come from scheduled
-   compute and utilization (:mod:`repro.model.metrics`).
+   (:class:`repro.model.batch.ActivityMatrix`) which, with the
+   Accelergy-style estimator, become energy; cycle counts come from
+   scheduled compute and utilization (:mod:`repro.model.perf`).
 """
 
 from repro.model.workload import (
@@ -24,7 +24,6 @@ from repro.model.workload import (
     unstructured_operand,
 )
 from repro.model.metrics import Metrics, normalize
-from repro.model.activity import ActivityCounts
 from repro.model.density import (
     balance_efficiency,
     highlight_supported_density,
@@ -43,7 +42,6 @@ __all__ = [
     "unstructured_operand",
     "Metrics",
     "normalize",
-    "ActivityCounts",
     "balance_efficiency",
     "highlight_supported_density",
     "s2ta_quantized_density",

@@ -1,22 +1,22 @@
-"""Stacked-workload batch evaluation: arrays in, Metrics out.
+"""Stacked-workload evaluation: arrays in, Metrics out.
 
-The scalar model path costs one workload at a time: Python arithmetic,
-one :class:`~repro.model.activity.ActivityCounts` dict per workload,
-one estimator lookup per event. A sweep asks the same ~20 questions of
-thousands of workloads, so the batch path restructures the hot loop as
-numpy array operations over *stacked* workload parameters:
+Every design's cost model is written once, as numpy array operations
+over *stacked* workload parameters — a sweep asks the same ~20
+questions of thousands of workloads, and a single workload is just a
+batch of one:
 
 * :class:`WorkloadBatch` holds the m/k/n dimensions, operand densities,
   and operand structure codes of N workloads as parallel arrays;
-* :class:`ActivityMatrix` is the batched counterpart of
-  ``ActivityCounts`` — per-(component, action) count *vectors* — priced
-  through one :meth:`~repro.energy.estimator.Estimator.energy_vector`
-  query per batch instead of per-event dict lookups.
+* :class:`ActivityMatrix` holds per-(component, action) count
+  *vectors*, priced through one
+  :meth:`~repro.energy.estimator.Estimator.energy_vector` query per
+  batch instead of per-event dict lookups.
 
-The scalar path stays the reference implementation: every array
-expression in this layer mirrors the scalar operation order exactly, so
-batch results are bit-identical (the equivalence suite asserts ``==``,
-not ``approx``) and the two paths can share one persistent cache.
+Every expression is elementwise, so a workload's Metrics are the same
+bits whatever batch it rides in. ``tests/golden/metrics_reference.json``
+pins those bits (codec blobs plus energy/EDP totals) for every design
+over the Fig. 13 grid and real DNN layer shapes; an intended model
+change regenerates it and says why in the change log.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ class WorkloadBatch:
     the arrays cannot carry: HSS patterns, display labels).
 
     Dimension products are exposed as float64 arrays computed from the
-    exact integer products, matching the scalar path's ``float(m * k)``
-    conversions bit for bit.
+    exact integer products (``float(m * k)`` per workload).
     """
 
     workloads: Tuple[MatmulWorkload, ...]
@@ -151,8 +150,7 @@ class WorkloadBatch:
         return len(self.workloads)
 
     # Integer dimension products are exact well past any realistic GEMM
-    # (the float64 conversion below is the only rounding step, exactly
-    # as in the scalar path).
+    # (the float64 conversion below is the only rounding step).
 
     @cached_property
     def dense_products(self) -> np.ndarray:
@@ -367,13 +365,13 @@ class SharedWorkloadStack:
 
 
 class ActivityMatrix:
-    """Batched :class:`~repro.model.activity.ActivityCounts`: one count
-    vector per (component, action) over a whole batch.
+    """Component activity counts: one count vector per (component,
+    action) over a whole batch — how many times each event fires per
+    workload, the bridge from dataflow to energy.
 
     Per-workload zero counts are kept in the vectors (adding 0.0 is
-    exact) and filtered only at materialization, which reproduces the
-    scalar accumulator's key-presence rule: an event appears in a
-    workload's energy breakdown iff its scalar count would be > 0.
+    exact) and filtered only at materialization: a component appears
+    in a workload's energy breakdown iff one of its counts is > 0.
     """
 
     def __init__(self, size: int) -> None:
@@ -394,8 +392,7 @@ class ActivityMatrix:
 
         Scalars broadcast over the batch. Counts are validated when
         the matrix is materialized (:meth:`energy_rows`), not per add:
-        the scalar accumulator checks each call, but here two array
-        reductions per add would dominate the batched assembly, and
+        two array reductions per add would dominate the assembly, and
         every poisoned value still surfaces — NaN/inf propagate
         through accumulation and a net-negative total is caught on the
         accumulated vector.
@@ -427,9 +424,9 @@ class ActivityMatrix:
         per-workload totals (``sum(breakdown.values())`` of each row).
 
         The totals are a sequential left fold of the component energy
-        vectors in component order. That equals the scalar
-        ``Metrics.energy_pj`` sum bit for bit: the scalar sum walks the
-        same components in the same order, and the positions where a
+        vectors in component order. That equals ``Metrics.energy_pj``
+        (the sum over the breakdown) bit for bit: both walk the same
+        components in the same order, and the positions where a
         component is absent from a row's breakdown contribute an exact
         ``+0.0`` (the additive identity for the non-negative energies
         here), so skipping them changes nothing.
@@ -438,13 +435,12 @@ class ActivityMatrix:
         (one :meth:`Estimator.energy_vector` query), then each
         component's event contributions are folded into one energy
         vector *in event order* — adding a zero-count term contributes
-        exactly +0.0, so the fold equals the scalar ``energy_pj``
-        accumulation bit for bit. The per-workload loop only assembles
+        exactly +0.0, so the fold equals a per-workload accumulation
+        bit for bit. The per-workload loop only assembles
         dicts: a component appears iff any of its event counts is > 0,
         at its first event's position (for every design's event stream
         the first event of a present component is itself nonzero, so
-        key order matches the scalar breakdown; the equivalence suite
-        asserts this).
+        key order is event order; the frozen reference pins this).
         """
         events = list(self.counts)
         self.value_block = None
@@ -481,7 +477,7 @@ class ActivityMatrix:
         # first event's contribution row; the (few) later events of
         # multi-event components are then folded in ascending event
         # order with ``+=`` — exactly the adds, in exactly the order,
-        # of a per-event scalar fold.
+        # of a per-event fold.
         component_order, first_rows, extras = _fold_plan(tuple(events))
         n_components = len(component_order)
         component_energy = contributions[first_rows]

@@ -10,7 +10,6 @@ with quantization and imbalance losses.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -106,20 +105,15 @@ def stc_effective_density(operand: OperandSparsity) -> Tuple[float, bool]:
     return 1.0, False
 
 
-def s2ta_quantized_density(operand: OperandSparsity) -> float:
+def s2ta_quantized_density(
+    density: "float | np.ndarray",
+) -> "float | np.ndarray":
     """S2TA schedules operands at G:8 granularity.
 
-    The smallest multiple of 1/8 at or above the operand density (a
-    62.5%-sparse operand runs as 3:8).
+    The smallest multiple of 1/8 at or above each density (a
+    62.5%-sparse operand runs as 3:8); a float or a float64 array.
     """
-    return math.ceil(operand.density * 8 - 1e-9) / 8.0
-
-
-def s2ta_quantized_density_array(densities: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`s2ta_quantized_density` over stacked densities
-    (same expression per element, so results match bit for bit)."""
-    d = np.asarray(densities, dtype=np.float64)
-    return np.ceil(d * 8 - 1e-9) / 8.0
+    return np.ceil(np.asarray(density, dtype=np.float64) * 8 - 1e-9) / 8.0
 
 
 #: Imbalance coefficient for random (unstructured) nonzero locations.
@@ -127,9 +121,10 @@ RANDOM_IMBALANCE_BETA = 0.47
 
 
 def random_balance_utilization(
-    density: float, beta: float = RANDOM_IMBALANCE_BETA
-) -> float:
-    """Per-operand utilization under *random* nonzero locations.
+    density: "float | np.ndarray", beta: float = RANDOM_IMBALANCE_BETA
+) -> "float | np.ndarray":
+    """Per-operand utilization under *random* nonzero locations, for a
+    float or a float64 array of densities.
 
     With unstructured sparsity the per-lane occupancy is binomial; its
     coefficient of variation is ``sqrt((1-d)/d)`` (up to the lane-size
@@ -143,22 +138,9 @@ def random_balance_utilization(
     active" observation for DSTC, and the reason structured designs
     keep their full theoretical speedup while unstructured ones do not.
     """
-    if not 0.0 < density <= 1.0:
-        raise ModelError(f"density must be in (0, 1], got {density}")
-    return 1.0 / (1.0 + beta * math.sqrt((1.0 - density) / density))
-
-
-def random_balance_utilization_array(
-    densities: np.ndarray, beta: float = RANDOM_IMBALANCE_BETA
-) -> np.ndarray:
-    """Vectorized :func:`random_balance_utilization`.
-
-    Same formula, same operation order, IEEE sqrt — each element is
-    bit-identical to the scalar helper's result.
-    """
-    d = np.asarray(densities, dtype=np.float64)
+    d = np.asarray(density, dtype=np.float64)
     if np.any((d <= 0.0) | (d > 1.0)):
-        raise ModelError("densities must be in (0, 1]")
+        raise ModelError(f"density must be in (0, 1], got {density}")
     return 1.0 / (1.0 + beta * np.sqrt((1.0 - d) / d))
 
 

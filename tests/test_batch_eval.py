@@ -1,20 +1,24 @@
-"""The vectorized batch-evaluation path (`repro.model.batch` and the
-designs' ``evaluate_batch``).
+"""The batch cost models (`repro.model.batch` and the designs'
+``evaluate_batch``), pinned bit for bit to a frozen reference.
 
-The batch path's contract is *bit-exactness* against the scalar
-reference implementation — every assertion here is ``==``, never
-``approx``: cycles, utilization, energy breakdown values *and* key
-order, derived energy/EDP, and the strings riding on Metrics. The
-equivalence classes cover the full Fig. 13 degree grid (both
-orientations, supported and unsupported realizations) plus real DNN
-layer shapes for all six designs.
+``tests/golden/metrics_reference.json`` holds, for every design and
+every workload of :func:`_grid_workloads` (the Fig. 13 degree grid in
+both orientations plus real DNN layer shapes), the codec-v2 blob of the
+expected Metrics — cycles, utilization, breakdown values *and* key
+order, and the strings riding on Metrics — plus the derived
+``energy_pj``/``edp`` as ``float.hex()``, or ``null`` where the design
+cannot process the workload. Every assertion is ``==``, never
+``approx``. An intended model change regenerates the fixture with
+``PYTHONPATH=src python tests/test_batch_eval.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +39,7 @@ from repro.model.workload import MatmulWorkload, synthetic_workload
 A_DEGREES = (0.0, 0.5, 0.625, 0.75)
 B_DEGREES = (0.0, 0.25, 0.5, 0.75, 0.875)
 
-BATCH_DESIGNS = tuple(
-    name for name in REGISTRY.names()
-    if REGISTRY[name].shared.batch_capable
-)
+REFERENCE = Path(__file__).parent / "golden" / "metrics_reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -65,66 +66,97 @@ def _grid_workloads(design_name):
     return workloads
 
 
-def _assert_identical(scalar, batch):
-    assert (scalar is None) == (batch is None)
-    if scalar is None:
-        return
-    assert scalar.design == batch.design
-    assert scalar.workload == batch.workload
-    assert scalar.cycles == batch.cycles
-    assert scalar.utilization == batch.utilization
-    # Key order matters: breakdowns are rendered and serialized in
-    # insertion order, so dict equality alone would under-assert.
-    assert list(scalar.energy_breakdown_pj.items()) == list(
-        batch.energy_breakdown_pj.items()
+def reference_entry(metrics):
+    """The fixture form of one result (``None`` when unsupported)."""
+    if metrics is None:
+        return None
+    return {
+        "blob": codec.encode_metrics(metrics).hex(),
+        "energy_pj": metrics.energy_pj.hex(),
+        "edp": metrics.edp.hex(),
+    }
+
+
+def compute_reference(evaluate=evaluate_workloads_batch):
+    """``{design: [{"workload", "metrics"}, ...]}`` over the grid, with
+    ``evaluate(design, workloads, estimator)`` as the cost model."""
+    estimator = Estimator()
+    reference = {}
+    for name in REGISTRY.names():
+        workloads = _grid_workloads(name)
+        results = evaluate(REGISTRY[name].create(), workloads, estimator)
+        reference[name] = [
+            {"workload": w.describe(), "metrics": reference_entry(m)}
+            for w, m in zip(workloads, results)
+        ]
+    return reference
+
+
+def write_reference(evaluate=evaluate_workloads_batch):
+    REFERENCE.write_text(
+        json.dumps(compute_reference(evaluate), indent=1) + "\n"
     )
-    assert scalar.energy_pj == batch.energy_pj
-    assert scalar.edp == batch.edp
-    assert scalar.ed2 == batch.ed2
-    assert scalar.supported == batch.supported
-    assert scalar.swapped == batch.swapped
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+def _assert_matches(metrics, expected):
+    """``metrics`` equals one fixture entry bit for bit."""
+    if expected is None:
+        assert metrics is None
+        return
+    assert metrics is not None
+    blob = bytes.fromhex(expected["blob"])
+    # The stashed blob (if any) and a fresh encoding of the fields.
+    assert codec.encode_metrics(metrics) == blob
+    assert codec.encode_metrics(dataclasses.replace(metrics)) == blob
+    assert metrics.energy_pj.hex() == expected["energy_pj"]
+    assert metrics.edp.hex() == expected["edp"]
 
 
 class TestGoldenEquivalence:
-    """evaluate_workloads_batch == the scalar path, bit for bit."""
+    """Every design's cost model == the frozen reference, bit for bit."""
 
-    @pytest.mark.parametrize("design_name", BATCH_DESIGNS)
-    def test_grid_and_dnn_shapes(self, design_name, estimator):
+    def test_reference_covers_every_registered_design(self, reference):
+        assert set(reference) == set(REGISTRY.names())
+
+    @pytest.mark.parametrize("design_name", REGISTRY.names())
+    def test_grid_and_dnn_shapes(
+        self, design_name, estimator, reference
+    ):
         design = REGISTRY[design_name].create()
         workloads = _grid_workloads(design_name)
-        assert workloads  # the grid must exercise the design
-        scalar = [
-            design.evaluate(w, estimator)
-            if design.supports(w) else None
-            for w in workloads
+        expected = reference[design_name]
+        assert [w.describe() for w in workloads] == [
+            entry["workload"] for entry in expected
         ]
-        batch = evaluate_workloads_batch(design, workloads, estimator)
-        assert len(batch) == len(scalar)
-        for s, b in zip(scalar, batch):
-            _assert_identical(s, b)
+        results = evaluate_workloads_batch(design, workloads, estimator)
+        assert len(results) == len(expected)
+        for metrics, entry in zip(results, expected):
+            _assert_matches(metrics, entry["metrics"])
 
-    @pytest.mark.parametrize("design_name", BATCH_DESIGNS)
-    def test_single_workload_batch(self, design_name, estimator):
-        """Batch size 1 is the scalar case in batch clothing."""
+    @pytest.mark.parametrize("design_name", REGISTRY.names())
+    def test_single_workload_batch(
+        self, design_name, estimator, reference
+    ):
+        """``evaluate`` is a one-workload batch: same bits per row."""
         design = REGISTRY[design_name].create()
-        for workload in _grid_workloads(design_name):
-            if design.supports(workload):
-                break
-        else:
-            pytest.skip("no supported realization")
-        (batch,) = evaluate_workloads_batch(
-            design, [workload], estimator
-        )
-        _assert_identical(design.evaluate(workload, estimator), batch)
-
-    def test_all_main_designs_are_batch_capable(self):
-        assert set(BATCH_DESIGNS) == set(REGISTRY.names())
+        for workload, entry in zip(
+            _grid_workloads(design_name), reference[design_name]
+        ):
+            if entry["metrics"] is not None:
+                _assert_matches(
+                    design.evaluate(workload, estimator), entry["metrics"]
+                )
 
 
 class TestEngineBatchPath:
-    """The engine routes misses through the batch path and the result
-    is indistinguishable from the scalar route — in-memory, on disk,
-    and in the stats."""
+    """The engine routes misses through per-design chunks of one shared
+    stack, and the chunking is invisible — in-memory, on disk, and in
+    the stats."""
 
     GRID = dict(
         designs=("TC", "STC", "HighLight"),
@@ -133,12 +165,12 @@ class TestEngineBatchPath:
         m=64, k=64, n=64,
     )
 
-    def _sweep_payload(self, tmp_path, use_batch, chunk_rows=None):
+    def _sweep_payload(self, tmp_path, chunk_rows=None):
         estimator = Estimator()
         cache = PersistentCache.for_estimator(
             tmp_path, estimator, backend="json"
         )
-        engine = SweepEngine(estimator, cache=cache, use_batch=use_batch)
+        engine = SweepEngine(estimator, cache=cache)
         if chunk_rows is not None:
             engine.batch_chunk_rows = chunk_rows
         sweep = engine.sweep(**self.GRID)
@@ -158,52 +190,28 @@ class TestEngineBatchPath:
         }
         return payload, cache.path.read_bytes(), engine.stats
 
-    def test_batch_and_scalar_routes_are_byte_identical(self, tmp_path):
-        batch_payload, batch_file, batch_stats = self._sweep_payload(
-            tmp_path / "batch", use_batch=True
-        )
-        scalar_payload, scalar_file, scalar_stats = self._sweep_payload(
-            tmp_path / "scalar", use_batch=False
-        )
-        assert json.dumps(batch_payload, sort_keys=True) == json.dumps(
-            scalar_payload, sort_keys=True
-        )
-        # The batch route records misses grouped by design, so the two
-        # files may list entries in a different order — but digest for
-        # digest the encoded blobs must match byte for byte.
-        batch_data = json.loads(batch_file)
-        scalar_data = json.loads(scalar_file)
-        assert batch_data["fingerprint"] == scalar_data["fingerprint"]
-        batch_raw = codec.raw_from_columns(batch_data["columns"])
-        scalar_raw = codec.raw_from_columns(scalar_data["columns"])
-        assert batch_raw == scalar_raw
-        assert batch_stats.misses == scalar_stats.misses
-        assert batch_stats.hits == scalar_stats.hits
-
-    def test_small_chunks_match_scalar(self, tmp_path):
+    def test_small_chunks_match_default(self, tmp_path):
         """Splitting every design group into many small chunks must be
-        indistinguishable from the scalar route: same payload floats,
-        and the persisted cache files must carry byte-identical
+        indistinguishable from the default chunking: same payload
+        floats, and the persisted cache files must carry byte-identical
         blobs."""
         chunked_payload, chunked_file, chunked_stats = (
-            self._sweep_payload(
-                tmp_path / "chunked", use_batch=True, chunk_rows=2,
-            )
+            self._sweep_payload(tmp_path / "chunked", chunk_rows=2)
         )
-        scalar_payload, scalar_file, scalar_stats = self._sweep_payload(
-            tmp_path / "scalar", use_batch=False
+        default_payload, default_file, default_stats = (
+            self._sweep_payload(tmp_path / "default")
         )
         assert json.dumps(chunked_payload, sort_keys=True) == json.dumps(
-            scalar_payload, sort_keys=True
+            default_payload, sort_keys=True
         )
-        chunked_raw = codec.raw_from_columns(
-            json.loads(chunked_file)["columns"]
-        )
-        scalar_raw = codec.raw_from_columns(
-            json.loads(scalar_file)["columns"]
-        )
-        assert chunked_raw == scalar_raw
-        assert chunked_stats.misses == scalar_stats.misses
+        chunked_data = json.loads(chunked_file)
+        default_data = json.loads(default_file)
+        assert chunked_data["fingerprint"] == default_data["fingerprint"]
+        assert codec.raw_from_columns(
+            chunked_data["columns"]
+        ) == codec.raw_from_columns(default_data["columns"])
+        assert chunked_stats.misses == default_stats.misses
+        assert chunked_stats.hits == default_stats.hits
 
     def test_interrupt_mid_batch_keeps_completed_chunks(
         self, tmp_path, monkeypatch
@@ -215,7 +223,7 @@ class TestEngineBatchPath:
         cache = PersistentCache.for_estimator(
             tmp_path, estimator, backend="json"
         )
-        engine = SweepEngine(estimator, cache=cache, use_batch=True)
+        engine = SweepEngine(estimator, cache=cache)
         engine.batch_chunk_rows = 4
         workloads = [
             synthetic_workload(0.5, 0.25, size=16 * (i + 1))
@@ -245,19 +253,6 @@ class TestEngineBatchPath:
         assert [entry is not MISS for entry in probed] == (
             [True] * 8 + [False] * 4
         )
-
-    def test_non_batch_capable_design_falls_back(self, monkeypatch):
-        engine = SweepEngine(Estimator())
-        design_cls = type(engine.design("TC"))
-        monkeypatch.setattr(design_cls, "batch_capable", False)
-        workload = synthetic_workload(0.0, 0.0, size=64)
-        (metrics,) = engine.evaluate_workloads([("TC", workload)])
-        # The engine caches content-keyed (name-stripped) workloads,
-        # so compare against the stripped scalar evaluation.
-        reference = REGISTRY["TC"].create().evaluate(
-            workload.stripped, engine.estimator
-        )
-        _assert_identical(reference, metrics)
 
     def test_batch_results_hit_like_scalar_results(self):
         engine = SweepEngine(Estimator())
@@ -333,8 +328,8 @@ class TestActivityMatrix:
             assert total == sum(row.values())
 
     def test_zero_count_events_absent_from_row(self, arch, estimator):
-        """The scalar accumulator's presence rule: an event appears in
-        a workload's breakdown iff its count is > 0."""
+        """The presence rule: an event appears in a workload's
+        breakdown iff its count is > 0."""
         matrix = ActivityMatrix(2)
         matrix.add("macs", "mac", np.array([10.0, 0.0]))
         matrix.add("glb_data", "read", 1.0)
@@ -405,3 +400,7 @@ class TestStrippedWorkload:
         w = synthetic_workload(0.5, 0.25, size=64)
         bare = MatmulWorkload(m=w.m, k=w.k, n=w.n, a=w.a, b=w.b)
         assert bare.stripped is bare
+
+
+if __name__ == "__main__":
+    write_reference()

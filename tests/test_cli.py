@@ -673,26 +673,19 @@ class TestSingleEvaluationRegression:
     def test_repro_all_evaluates_each_pair_once(self, monkeypatch):
         """`repro all` regenerates Fig. 14 (and Fig. 16's breakdown
         cell) from the Fig. 13 sweep without re-evaluating anything:
-        the counting spies (covering both the scalar and the batch
-        evaluation route) must see each unique (design, workload) pair
+        the counting spy must see each unique (design, workload) pair
         exactly once — and nothing outside the grid's realizations."""
         import repro.eval.engine as engine_mod
         from repro.eval.harness import realize_workloads
 
         calls = []
-        real = engine_mod.evaluate_workload
         real_batch = engine_mod.evaluate_workloads_batch
-
-        def counting(design, workload, estimator):
-            calls.append((design.name, workload.key()))
-            return real(design, workload, estimator)
 
         def counting_batch(design, workloads, estimator, **kwargs):
             for workload in workloads:
                 calls.append((design.name, workload.key()))
             return real_batch(design, workloads, estimator, **kwargs)
 
-        monkeypatch.setattr(engine_mod, "evaluate_workload", counting)
         monkeypatch.setattr(
             engine_mod, "evaluate_workloads_batch", counting_batch
         )
@@ -725,3 +718,32 @@ class TestServeParser:
         err = capsys.readouterr().err
         assert "--port" in err
         assert "0-65535" in err or "integer" in err
+
+
+class TestNumericOptionParser:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["sweep", "--size", "0"],
+            ["sweep", "--size", "-5"],
+            ["queue", "fill", "--size", "0"],
+            ["worker", "--lease", "0"],
+            ["worker", "--lease", "-1"],
+            ["worker", "--lease", "nan"],
+            ["worker", "--lease", "inf"],
+            ["worker", "--poll", "0"],
+            ["worker", "--poll", "-1"],
+            ["worker", "--poll", "nan"],
+        ),
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_positive_value_rejected_by_parser(self, argv, capsys):
+        """A zero or negative size, lease or poll interval is a usage
+        error, not a traceback later (a lease <= 0 would let another
+        worker reclaim a batch still being evaluated)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert argv[-2] in err

@@ -228,32 +228,31 @@ class TestClose:
         failure path flushes before propagating)."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        # use_batch=False: the interrupt is injected through the scalar
-        # _evaluate_pair hook, and per-*pair* durability is the scalar
-        # path's guarantee (the batch path records per design group).
-        engine = SweepEngine(estimator, cache=cache, use_batch=False)
+        # One row per completion chunk: per-*pair* durability.
+        engine = SweepEngine(estimator, cache=cache)
+        engine.batch_chunk_rows = 1
         workloads = [
             synthetic_workload(0.5, degree, size=128)
             for degree in (0.0, 0.25, 0.5, 0.75)
         ]
-        real = engine._evaluate_pair
+        real = engine._evaluate_batch_chunk
         calls = []
 
-        def interrupting(pair):
+        def interrupting(design, chunk, stack):
             if len(calls) >= 2:
                 raise KeyboardInterrupt
-            result = real(pair)
-            calls.append(pair)
+            result = real(design, chunk, stack)
+            calls.extend(workload for _, workload in chunk)
             return result
 
-        engine._evaluate_pair = interrupting
+        engine._evaluate_batch_chunk = interrupting
         with pytest.raises(KeyboardInterrupt):
             engine.evaluate_workloads(
                 [("TC", w) for w in workloads]
             )
         engine.close()
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
-        for _, workload in calls:
+        for workload in calls:
             assert reloaded.get("TC", workload.key()) is not MISS
         assert len(calls) == 2
 

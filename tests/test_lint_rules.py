@@ -272,6 +272,17 @@ class TestFloatDeterminism:
             == ()
         )
 
+    @pytest.mark.parametrize(
+        "relpath",
+        ["accelerators/highlight.py", "model/perf.py"],
+        ids=["accelerators", "model"],
+    )
+    def test_cost_model_modules_in_scope(self, tmp_path, relpath):
+        """The design formulas hold the only copy of the arithmetic the
+        frozen metrics reference pins."""
+        findings = run_rule(tmp_path, FLOAT_BAD_SET, "REP003", relpath=relpath)
+        assert findings and all(f.rule == "REP003" for f in findings)
+
     def test_rule_is_path_scoped(self, tmp_path):
         # The same unordered fold outside the pinned numeric modules
         # is not this rule's business.

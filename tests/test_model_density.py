@@ -100,21 +100,21 @@ class TestFits24:
 
 class TestS2taQuantization:
     def test_exact_eighths(self):
-        assert s2ta_quantized_density(structured_operand(4, 8)) == 0.5
+        assert s2ta_quantized_density(structured_operand(4, 8).density) == 0.5
 
     def test_rounds_up(self):
-        assert s2ta_quantized_density(unstructured_operand(0.6)) == (
+        assert s2ta_quantized_density(unstructured_operand(0.6).density) == (
             pytest.approx(0.5)
         )
-        assert s2ta_quantized_density(unstructured_operand(0.55)) == (
+        assert s2ta_quantized_density(unstructured_operand(0.55).density) == (
             pytest.approx(0.5)
         )
-        assert s2ta_quantized_density(unstructured_operand(0.7)) == (
+        assert s2ta_quantized_density(unstructured_operand(0.7).density) == (
             pytest.approx(0.375)
         )
 
     def test_dense(self):
-        assert s2ta_quantized_density(dense_operand()) == 1.0
+        assert s2ta_quantized_density(dense_operand().density) == 1.0
 
 
 class TestBalance:

@@ -1,10 +1,12 @@
-"""Tests for the shared GEMM cost assembly (build_metrics)."""
+"""Tests for the shared GEMM cost assembly (build_metrics_batch)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.designs import highlight_resources, tc_resources
 from repro.errors import ModelError
-from repro.model.perf import build_metrics, compute_cycles
+from repro.model.batch import WorkloadBatch
+from repro.model.perf import build_metrics_batch, cycle_count
 from repro.model.workload import (
     MatmulWorkload,
     dense_operand,
@@ -19,7 +21,7 @@ def workload():
 
 def assemble(estimator, **overrides):
     defaults = dict(
-        workload=workload(),
+        batch=WorkloadBatch.from_workloads([workload()]),
         resources=tc_resources(),
         estimator=estimator,
         scheduled_products=64.0**3,
@@ -30,19 +32,24 @@ def assemble(estimator, **overrides):
         b_fetch_words=64.0**3 / 32,
     )
     defaults.update(overrides)
-    return build_metrics(**defaults)
+    # Counts broadcast; scheduled products are the per-workload vector.
+    defaults["scheduled_products"] = np.atleast_1d(
+        defaults["scheduled_products"]
+    )
+    (metrics,) = build_metrics_batch(**defaults)
+    return metrics
 
 
 class TestComputeCycles:
     def test_basic(self):
-        assert compute_cycles(2048, 1024, 1.0) == 2.0
+        assert cycle_count(2048, 1024, 1.0) == 2.0
 
     def test_utilization_inflates(self):
-        assert compute_cycles(2048, 1024, 0.5) == 4.0
+        assert cycle_count(2048, 1024, 0.5) == 4.0
 
     def test_rejects_zero_work(self):
         with pytest.raises(ModelError):
-            compute_cycles(0, 1024, 1.0)
+            cycle_count(0, 1024, 1.0)
 
 
 class TestBuildMetrics:

@@ -8,7 +8,6 @@ Usage::
     python -m repro sweep --model-file F    # ... or a user-defined one
     python -m repro cache stats|clear       # persistent-cache upkeep
     python -m repro cache merge DIR...      # fan-in sharded cache fills
-    python -m repro cache migrate           # convert JSON shards to SQLite
     python -m repro serve [--port N]        # long-lived evaluation service
     python -m repro queue fill [...]        # enqueue a grid for workers
     python -m repro queue stats|requeue     # job-queue upkeep
@@ -319,15 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(sweep)
 
     cache = sub.add_parser(
-        "cache", help="inspect, clear, merge, or migrate the "
-        "persistent evaluation cache"
+        "cache", help="inspect, clear, or merge the persistent "
+        "evaluation cache"
     )
     cache.add_argument(
-        "action", choices=("stats", "clear", "merge", "migrate"),
+        "action", choices=("stats", "clear", "merge"),
         help="'stats' prints per-fingerprint entry counts; 'clear' "
         "deletes all cache files; 'merge' folds the DIR shards into "
-        "--cache-dir (same estimator fingerprint required); 'migrate' "
-        "converts JSON cache files to SQLite in place",
+        "--cache-dir (same estimator fingerprint required; merging "
+        "--cache-dir into itself with --cache-backend converts it in "
+        "place)",
     )
     cache.add_argument(
         "dirs", nargs="*", metavar="DIR",
@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-backend", choices=cache_mod.CACHE_BACKENDS,
         default=None,
         help="(merge only) storage backend for the merged destination "
-        "file (default auto: keep the destination's current format, "
-        "else sqlite for large merges)",
+        "file (default auto: an existing .db stays sqlite, a JSON file "
+        "past the auto size threshold upgrades, else json)",
     )
     cache.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -876,37 +876,11 @@ def _cmd_cache(args: argparse.Namespace,
             f"'cache {args.action}'"
         )
     if args.cache_backend is not None:
-        # 'cache migrate --cache-backend json' would otherwise exit 0
-        # while converting to sqlite anyway.
         parser.error(
             f"--cache-backend only applies to 'cache merge' (it picks "
             f"the merged destination format), not "
             f"'cache {args.action}'"
         )
-    if args.action == "migrate":
-        try:
-            summary = cache_mod.migrate_cache_dir(directory)
-        except CacheError as error:
-            parser.error(str(error))
-        if not summary["files"] and not summary["reencoded_rows"]:
-            print(f"no cache files to migrate in {directory}")
-            return 0
-        for item in summary["files"]:
-            print(
-                f"migrated {item['fingerprint']}.json -> "
-                f"{item['path']} ({item['entries']} entries)"
-            )
-        if summary["files"]:
-            print(
-                f"migrated {len(summary['files'])} file(s), "
-                f"{summary['total_entries']} entries"
-            )
-        if summary["reencoded_rows"]:
-            print(
-                f"re-encoded {summary['reencoded_rows']} v1 row(s) "
-                f"as codec v2"
-            )
-        return 0
     if args.action == "clear":
         removed = cache_mod.clear_cache(directory)
         print(f"removed {removed} cache file(s) from {directory}")

@@ -24,7 +24,13 @@ file. The SQLite backend upserts only the dirty entries (``INSERT OR
 REPLACE``), so flush cost is O(dirty), and concurrent writers are
 serialized by SQLite's own locking — the right choice once a cache
 outgrows ~10k entries (the ``auto`` backend switches over on its own;
-``repro cache migrate`` converts existing JSON files in place).
+``repro cache merge DIR --cache-dir DIR --cache-backend sqlite``
+converts a directory in place).
+
+Each store reads and writes exactly one on-disk format: v2 codec
+``BLOB`` rows in SQLite, one columnar schema-2 block in JSON. Anything
+else is corrupt cache content: it reads as empty at runtime (and is
+replaced on the next flush) and :func:`merge_cache_dirs` refuses it.
 """
 
 from __future__ import annotations
@@ -53,15 +59,12 @@ from repro.model.workload import WorkloadKey
 #: invalidates previously cached metrics.
 MODEL_FINGERPRINT_VERSION = 1
 
-#: Cache file schema version (shared by both storage backends).
+#: SQLite store file schema version (recorded in its ``meta`` table).
 CACHE_SCHEMA_VERSION = 1
 
-#: JSON-store file schema whose entry section is one columnar block
+#: JSON store file schema: the entry section is one columnar block
 #: (digest column, length column, one base64 blob of concatenated v2
-#: codec blobs) instead of a per-digest entries dict. Writers emit
-#: this form; schema-1 files (v1 tagged dicts and/or per-entry base64
-#: strings) remain readable on every path. The SQLite store stays at
-#: :data:`CACHE_SCHEMA_VERSION` — its rows are already columnar.
+#: codec blobs).
 COLUMNS_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
@@ -77,10 +80,6 @@ DEFAULT_CACHE_BACKEND = "auto"
 #: ``auto`` switches a fingerprint to SQLite once its JSON file reaches
 #: this size (~10k entries at typical serialized-metrics weight).
 AUTO_SQLITE_SIZE_BYTES = 4 * 1024 * 1024
-
-#: ``auto`` writes a fresh merge destination as SQLite at this many
-#: merged entries.
-AUTO_SQLITE_ENTRIES = 10_000
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None``
 #: (an unsupported pair).
@@ -207,12 +206,6 @@ def pair_digest(design: str, workload_key: WorkloadKey) -> str:
 # --- storage backends ---------------------------------------------------
 
 
-def _entry_from_raw(
-    raw: "str | Dict[str, Any] | None"
-) -> Optional[Metrics]:
-    return codec.decode_json_entry(raw)
-
-
 #: Absent-marker for the JSON store's encoded-blob memo (a memoized
 #: value may legitimately be ``None`` — a cached unsupported verdict).
 _UNENCODED = object()
@@ -268,11 +261,10 @@ class JsonCacheStore(CacheStore):
     """One JSON file per fingerprint; flush is a read-merge-write of
     the whole file behind an atomic rename (O(total entries)).
 
-    Files are written in the columnar form (schema
+    Files hold one columnar block (schema
     :data:`COLUMNS_SCHEMA_VERSION`): one digest column, one length
     column, one base64 blob of every entry's v2 codec blob
-    concatenated. Schema-1 files — per-digest entry dicts holding v1
-    tagged dicts and/or per-entry base64 strings — load transparently.
+    concatenated.
     """
 
     backend = "json"
@@ -302,24 +294,16 @@ class JsonCacheStore(CacheStore):
     @staticmethod
     def _read_entries(path: Path) -> Dict[str, Optional[Metrics]]:
         """Deserialize a cache file; any corruption — torn writes,
-        invalid JSON, malformed entries — yields an empty dict rather
-        than an exception (the cache is a best-effort accelerator)."""
+        invalid JSON, another schema, malformed entries — yields an
+        empty dict rather than an exception (the cache is a
+        best-effort accelerator)."""
         try:
-            data = json.loads(path.read_text())
-            version = data.get("schema_version")
-            if version == COLUMNS_SCHEMA_VERSION:
-                return {
-                    digest: None if blob is None
-                    else codec.decode_blob(blob)
-                    for digest, blob in codec.raw_from_columns(
-                        data.get("columns") or {}
-                    ).items()
-                }
-            if version != CACHE_SCHEMA_VERSION:
-                return {}
             return {
-                digest: _entry_from_raw(entry)
-                for digest, entry in data.get("entries", {}).items()
+                digest: None if blob is None
+                else codec.decode_blob(blob)
+                for digest, blob in codec.raw_from_columns(
+                    _read_json_file(path)["columns"]
+                ).items()
             }
         except Exception:
             return {}
@@ -459,13 +443,16 @@ class SqliteCacheStore(CacheStore):
     """One SQLite database per fingerprint; flush upserts only the
     dirty entries (O(dirty), not O(total)).
 
-    A sibling legacy ``<fingerprint>.json`` file seeds the *first*
+    Rows hold v2 codec blobs (``NULL`` for cached unsupported
+    verdicts). A row of any other type makes the database unreadable:
+    it loads as empty and the next flush rotates it aside as
+    ``.corrupt``.
+
+    A sibling ``<fingerprint>.json`` file seeds the *first*
     :meth:`load` after a backend switch: its entries are imported into
     the database durably and the JSON file is retired, so the
-    switchover never goes cold, later runs never re-parse the legacy
-    file, and ``cache stats`` never double-counts. (``repro cache
-    migrate`` does the same conversion explicitly, with loud
-    validation.)
+    switchover never goes cold, later runs never re-parse the JSON
+    file, and ``cache stats`` never double-counts.
     """
 
     backend = "sqlite"
@@ -516,11 +503,11 @@ class SqliteCacheStore(CacheStore):
                 db_usable = False
                 entries = {}
                 self._unreadable = True
-        legacy = self.path.with_suffix(".json")
-        if not legacy.is_file():
+        sibling = self.path.with_suffix(".json")
+        if not sibling.is_file():
             return entries
-        legacy_entries = JsonCacheStore._read_entries(legacy)
-        if not legacy_entries:
+        sibling_entries = JsonCacheStore._read_entries(sibling)
+        if not sibling_entries:
             return entries
         if db_usable:
             # Fold the sibling JSON in durably (database rows win) and
@@ -532,12 +519,12 @@ class SqliteCacheStore(CacheStore):
             # the database is corrupt/stale: flush recovery would
             # rotate the import away with it.
             try:
-                self._upsert(legacy_entries, replace=False)
+                self._upsert(sibling_entries, replace=False)
             except sqlite3.Error:
                 pass
             else:
-                legacy.unlink(missing_ok=True)
-        for digest, metrics in legacy_entries.items():
+                sibling.unlink(missing_ok=True)
+        for digest, metrics in sibling_entries.items():
             entries.setdefault(digest, metrics)
         return entries
 
@@ -859,7 +846,7 @@ class PersistentCache:
                 self.store.close()
 
 
-# --- directory-level maintenance (stats / clear / merge / migrate) ------
+# --- directory-level maintenance (stats / clear / merge) ----------------
 
 #: Cache files are named <16-hex-digit fingerprint>.json or .db — the
 #: strict pattern keeps ``cache clear``/``stats`` away from unrelated
@@ -913,12 +900,8 @@ def _count_entries(path: Path) -> int:
         except sqlite3.Error:
             return 0
     try:
-        data = json.loads(path.read_text())
-        columns = data.get("columns")
-        if columns is not None:
-            return len(columns.get("lengths", ()))
-        return len(data.get("entries", {}))
-    except (OSError, json.JSONDecodeError):
+        return len(_read_json_file(path)["columns"]["lengths"])
+    except (CacheError, KeyError, TypeError):
         return 0
 
 
@@ -992,15 +975,41 @@ def clear_cache(directory: "str | Path") -> int:
     return len(files)
 
 
+def _read_json_file(path: Path) -> Dict[str, Any]:
+    """A JSON cache file's top-level object, checked down to its
+    ``columns`` block being an object. Loud: an unreadable file,
+    invalid JSON, a schema other than :data:`COLUMNS_SCHEMA_VERSION`
+    or a non-object document or block raises
+    :class:`~repro.errors.CacheError` (best-effort callers catch it).
+    """
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise CacheError(f"cannot read cache file {path}: {error}")
+    if not isinstance(data, dict):
+        raise CacheError(
+            f"cannot read cache file {path}: top level is not an object"
+        )
+    version = data.get("schema_version")
+    if version != COLUMNS_SCHEMA_VERSION:
+        raise CacheError(
+            f"{path} has cache schema {version!r}; this version reads "
+            f"schema {COLUMNS_SCHEMA_VERSION}"
+        )
+    if not isinstance(data.get("columns"), dict):
+        raise CacheError(
+            f"cannot read cache file {path}: columns is not an object"
+        )
+    return data
+
+
 def _read_raw_entries(path: Path) -> Dict[str, Optional[bytes]]:
     """One cache file's entries in canonical raw form (v2 codec blobs,
     ``None`` for cached unsupported verdicts) — loud, unlike the
-    best-effort runtime reads: merging/migrating should never silently
-    drop a shard, and v1 entries are re-encoded *through* the metrics
-    deserializer so malformed legacy content fails here rather than
-    being copied forward. The fingerprint field is *required* and must
-    match the file name; a file missing it is refused rather than
-    waved through.
+    best-effort runtime reads: merging should never silently drop a
+    shard, nor copy content in any other format forward. The
+    fingerprint field is *required* and must match the file name; a
+    file missing it is refused rather than waved through.
     """
     if path.suffix == ".db":
         try:
@@ -1023,32 +1032,20 @@ def _read_raw_entries(path: Path) -> Dict[str, Optional[bytes]]:
                 f"reads schema {CACHE_SCHEMA_VERSION}"
             )
         _require_fingerprint(path, meta.get("fingerprint"))
-        return {
-            digest: codec.raw_from_sqlite_value(value)
-            for digest, value in rows
-        }
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise CacheError(f"cannot read cache file {path}: {error}")
-    version = data.get("schema_version")
-    if version == COLUMNS_SCHEMA_VERSION:
-        _require_fingerprint(path, data.get("fingerprint"))
-        try:
-            return codec.raw_from_columns(data.get("columns") or {})
-        except CacheError as error:
-            raise CacheError(f"cannot read cache file {path}: {error}")
-    if version != CACHE_SCHEMA_VERSION:
-        raise CacheError(
-            f"{path} has cache schema {version!r}; this version reads "
-            f"schemas {CACHE_SCHEMA_VERSION} and "
-            f"{COLUMNS_SCHEMA_VERSION}"
-        )
+        for digest, value in rows:
+            if value is not None and not isinstance(value, bytes):
+                raise CacheError(
+                    f"cannot read cache file {path}: entry {digest} "
+                    f"holds a {type(value).__name__} value, not a "
+                    f"codec blob"
+                )
+        return dict(rows)
+    data = _read_json_file(path)
     _require_fingerprint(path, data.get("fingerprint"))
-    return {
-        digest: codec.raw_from_json_entry(entry)
-        for digest, entry in data.get("entries", {}).items()
-    }
+    try:
+        return codec.raw_from_columns(data["columns"])
+    except CacheError as error:
+        raise CacheError(f"cannot read cache file {path}: {error}")
 
 
 def _require_fingerprint(path: Path, fingerprint: Any) -> None:
@@ -1110,14 +1107,10 @@ def _write_raw_sqlite(
     path: Path,
     fingerprint: str,
     entries: Dict[str, Optional[bytes]],
-    replace: bool = True,
 ) -> None:
     conn = _sqlite_connect_rw(path, fingerprint)
     try:
-        conn.executemany(
-            _UPSERT_REPLACE if replace else _UPSERT_IGNORE,
-            list(entries.items()),
-        )
+        conn.executemany(_UPSERT_REPLACE, list(entries.items()))
         conn.commit()
     finally:
         conn.close()
@@ -1125,81 +1118,8 @@ def _write_raw_sqlite(
 
 def _ordered_by_format(files: "Tuple[Path, ...] | List[Path]") -> List[Path]:
     """JSON first, SQLite last — so a dict built by successive updates
-    lets database rows win over a stale legacy JSON sibling."""
+    lets database rows win over a stale JSON sibling."""
     return sorted(files, key=lambda path: path.suffix == ".db")
-
-
-def _reencode_v1_rows(path: Path) -> int:
-    """Re-encode any v1 JSON TEXT rows of one database as v2 codec
-    blobs, in place; returns how many rows were upgraded. The rows were
-    already validated by a loud read, so this is a mechanical rewrite.
-    """
-    conn = _sqlite_connect_rw(path, path.stem)
-    try:
-        rows = conn.execute(
-            "SELECT digest, metrics FROM entries "
-            "WHERE typeof(metrics) = 'text'"
-        ).fetchall()
-        if rows:
-            conn.executemany(
-                "UPDATE entries SET metrics = ? WHERE digest = ?",
-                [
-                    (codec.blob_from_raw_dict(json.loads(text)), digest)
-                    for digest, text in rows
-                ],
-            )
-            conn.commit()
-    finally:
-        conn.close()
-    return len(rows)
-
-
-def migrate_cache_dir(directory: "str | Path") -> Dict[str, Any]:
-    """Bring every cache file under ``directory`` to the current
-    on-disk format in place (``repro cache migrate``).
-
-    Each ``<fingerprint>.json`` is folded into ``<fingerprint>.db``
-    (existing database rows win — they are newer) and then deleted;
-    remaining databases then have any v1 JSON TEXT rows re-encoded as
-    v2 codec blobs. Reads are loud: a corrupt or misnamed shard raises
-    :class:`~repro.errors.CacheError` before anything is deleted.
-    Returns a summary dict (per-file entry counts, totals).
-    """
-    root = Path(directory)
-    migrated: List[Dict[str, Any]] = []
-    total = 0
-    for path in cache_files(root):
-        if path.suffix != ".json":
-            continue
-        entries = _read_raw_entries(path)
-        db_path = path.with_suffix(".db")
-        if db_path.is_file():
-            # Validate the fold-into destination as loudly as the
-            # source: folding rows into a corrupt or stale-schema
-            # database and then deleting the JSON would lose them.
-            _read_raw_entries(db_path)
-        _write_raw_sqlite(db_path, path.stem, entries, replace=False)
-        path.unlink()
-        migrated.append(
-            {
-                "fingerprint": path.stem,
-                "entries": len(entries),
-                "path": str(db_path),
-            }
-        )
-        total += len(entries)
-    reencoded = 0
-    for path in cache_files(root):
-        if path.suffix != ".db":
-            continue
-        _read_raw_entries(path)  # loud validation before rewriting
-        reencoded += _reencode_v1_rows(path)
-    return {
-        "directory": str(root),
-        "files": migrated,
-        "total_entries": total,
-        "reencoded_rows": reencoded,
-    }
 
 
 def merge_cache_dirs(
@@ -1220,9 +1140,10 @@ def merge_cache_dirs(
     contributes their union, database rows winning). Entries are
     content-keyed, so overlapping shards merge idempotently; existing
     ``dest`` files of the same fingerprint are merged under the sources
-    and consolidated into a single file of the resolved ``backend``
-    (``auto``: keep the dest's current format, or pick SQLite for
-    fresh merges of :data:`AUTO_SQLITE_ENTRIES`+ entries).
+    and consolidated into a single file of the backend
+    :func:`resolve_backend` picks for ``dest`` (so ``auto`` keeps an
+    existing database, upgrades an outgrown JSON file, and otherwise
+    writes JSON).
 
     Returns a summary dict (``fingerprint``, ``path``, ``backend``,
     per-source and total entry counts, how many were new to ``dest``).
@@ -1270,16 +1191,7 @@ def merge_cache_dirs(
     existing = len(existing_entries)
     for digest, entry in existing_entries.items():
         merged.setdefault(digest, entry)
-    if backend != "auto":
-        dest_backend = backend
-    elif dest_db.is_file():
-        dest_backend = "sqlite"
-    elif dest_json.is_file():
-        dest_backend = "json"
-    else:
-        dest_backend = (
-            "sqlite" if len(merged) >= AUTO_SQLITE_ENTRIES else "json"
-        )
+    dest_backend = resolve_backend(dest_dir, fingerprint, backend)
     if dest_backend == "sqlite":
         _write_raw_sqlite(dest_db, fingerprint, merged)
         absorbed = dest_json

@@ -7,6 +7,7 @@ import pytest
 from repro.energy import Estimator
 from repro.energy.tables import EnergyAreaTable
 from repro.errors import CacheError
+from repro.eval import codec
 from repro.eval.cache import (
     COLUMNS_SCHEMA_VERSION,
     MISS,
@@ -101,9 +102,10 @@ class TestPersistentCache:
         cache = PersistentCache.for_estimator(tmp_path, estimator)
         cache.path.parent.mkdir(parents=True, exist_ok=True)
         cache.path.write_text(json.dumps({
-            "schema_version": 1,
+            "schema_version": COLUMNS_SCHEMA_VERSION,
             "fingerprint": cache.fingerprint,
-            "entries": {"a" * 64: {"kind": "metrics"}},  # missing keys
+            # One 40-byte entry that is not a v2 codec blob.
+            "columns": codec.columns_from_raw({"a" * 64: b"x" * 40}),
         }))
         assert len(PersistentCache.for_estimator(tmp_path,
                                                  estimator)) == 0

@@ -3,8 +3,9 @@
 Every semantic test here is parametrized over both storage backends —
 get/put/flush/merge/stats behavior, cached-``None`` entries, concurrent
 two-writer flushes — plus the backend-specific paths: ``auto``
-resolution, JSON-to-SQLite migration, corrupt-database recovery, and
-the acceptance shape (``repro all --cache-backend sqlite`` twice
+resolution, in-place JSON-to-SQLite conversion through ``merge``,
+corrupt-database recovery, legacy content (v1 TEXT rows, schema-1 JSON
+files) handled as corruption, and the acceptance shape (``repro all --cache-backend sqlite`` twice
 performs zero evaluations on the warm run).
 """
 
@@ -17,9 +18,11 @@ from repro.energy import Estimator
 from repro.energy.tables import EnergyAreaTable
 from repro.errors import CacheError
 from repro.eval import cache as cache_mod
+from repro.eval import codec
 from repro.eval.artifacts import ARTIFACTS, compute_artifacts
 from repro.eval.cache import (
     CACHE_SCHEMA_VERSION,
+    COLUMNS_SCHEMA_VERSION,
     MISS,
     JsonCacheStore,
     PersistentCache,
@@ -28,7 +31,6 @@ from repro.eval.cache import (
     clear_cache,
     estimator_fingerprint,
     merge_cache_dirs,
-    migrate_cache_dir,
     resolve_backend,
 )
 from repro.eval.engine import EngineContext, SweepEngine
@@ -438,6 +440,10 @@ class TestMergeAcrossBackends:
 
 
 class TestMigrate:
+    """Migrating a JSON cache to SQLite in place is a merge of the
+    directory into itself: ``repro cache merge DIR --cache-dir DIR
+    --cache-backend sqlite``."""
+
     def test_json_converted_in_place(self, tmp_path, estimator,
                                      workload, metrics):
         cache = PersistentCache.for_estimator(
@@ -447,27 +453,28 @@ class TestMigrate:
         cache.put("S2TA", workload.key(), None)
         cache.flush()
         json_path = cache.path
-        summary = migrate_cache_dir(tmp_path)
-        assert len(summary["files"]) == 1
+        raw = cache_mod._read_raw_entries(json_path)
+        summary = merge_cache_dirs([tmp_path], tmp_path,
+                                   backend="sqlite")
         assert summary["total_entries"] == 2
-        assert not json_path.exists()
+        assert summary["new_entries"] == 0
+        (db_path,) = cache_mod.cache_files(tmp_path)
+        assert db_path == json_path.with_suffix(".db")
+        assert cache_mod._read_raw_entries(db_path) == raw
         migrated = PersistentCache.for_estimator(tmp_path, estimator)
         assert migrated.backend == "sqlite"
-        cached = migrated.get("HighLight", workload.key())
-        assert cached.edp == pytest.approx(metrics.edp)
+        assert migrated.get("HighLight", workload.key()) == metrics
         assert migrated.get("S2TA", workload.key()) is None
-
-    def test_migrate_empty_directory_is_a_noop(self, tmp_path):
-        summary = migrate_cache_dir(tmp_path)
-        assert summary["files"] == []
-        assert summary["total_entries"] == 0
 
     def test_migrate_folds_into_existing_db(self, tmp_path, estimator,
                                             workload):
         other = synthetic_workload(0.75, 0.0, size=128)
         _shard(tmp_path, estimator, [("TC", workload)], "sqlite")
         _shard(tmp_path, estimator, [("STC", other)], "json")
-        migrate_cache_dir(tmp_path)
+        merge_cache_dirs([tmp_path], tmp_path, backend="sqlite")
+        assert [p.suffix for p in cache_mod.cache_files(tmp_path)] == [
+            ".db"
+        ]
         merged = PersistentCache.for_estimator(tmp_path, estimator)
         assert merged.backend == "sqlite"
         assert merged.get("TC", workload.key()) is not MISS
@@ -476,7 +483,7 @@ class TestMigrate:
     def test_migrate_is_loud_on_corrupt_json(self, tmp_path):
         (tmp_path / f"{'0' * 16}.json").write_text("{not json")
         with pytest.raises(CacheError, match="cannot read"):
-            migrate_cache_dir(tmp_path)
+            merge_cache_dirs([tmp_path], tmp_path, backend="sqlite")
 
     def test_migrate_refuses_unusable_destination_db(self, tmp_path,
                                                      estimator,
@@ -489,20 +496,20 @@ class TestMigrate:
         json_path = tmp_path / f"{fingerprint}.json"
         (tmp_path / f"{fingerprint}.db").write_text("not a database")
         with pytest.raises(CacheError, match="cannot read"):
-            migrate_cache_dir(tmp_path)
+            merge_cache_dirs([tmp_path], tmp_path, backend="sqlite")
         assert json_path.exists()  # nothing deleted
 
 
 class TestRawValidation:
-    """The loud merge/migrate readers must refuse unidentified files
-    (a missing fingerprint field used to pass the mismatch check)."""
+    """The loud merge reader must refuse unidentified files (a missing
+    fingerprint field used to pass the mismatch check)."""
 
     def test_json_missing_fingerprint_field_refused(self, tmp_path):
         shard = tmp_path / "s1"
         shard.mkdir()
         (shard / f"{'0' * 16}.json").write_text(json.dumps({
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "entries": {},
+            "schema_version": COLUMNS_SCHEMA_VERSION,
+            "columns": codec.columns_from_raw({}),
         }))
         with pytest.raises(CacheError, match="missing the fingerprint"):
             merge_cache_dirs([shard], tmp_path / "out")
@@ -532,9 +539,9 @@ class TestRawValidation:
         shard = tmp_path / "s1"
         shard.mkdir()
         (shard / f"{'0' * 16}.json").write_text(json.dumps({
-            "schema_version": CACHE_SCHEMA_VERSION,
+            "schema_version": COLUMNS_SCHEMA_VERSION,
             "fingerprint": "f" * 16,
-            "entries": {},
+            "columns": codec.columns_from_raw({}),
         }))
         with pytest.raises(CacheError, match="records fingerprint"):
             merge_cache_dirs([shard], tmp_path / "out")
@@ -916,14 +923,16 @@ class TestJsonIncrementalEncoding:
 
 
 class TestColumnarAndLegacyFiles:
-    """The JSON store writes columnar schema-2 files; schema-1 files
-    (per-entry dicts: v1 tagged dicts or base64 blob strings) must keep
-    loading on both the best-effort runtime path and the loud
-    merge/migrate path, and both backends must hold byte-identical
-    codec payloads for the same entries."""
+    """The JSON store reads and writes only columnar schema-2 files. A
+    schema-1 file (per-entry dicts: v1 tagged dicts or base64 blob
+    strings) is corrupt content: it reads as empty at runtime, is
+    rewritten columnar on the next flush, and merge refuses it. Both
+    backends must hold byte-identical codec payloads for the same
+    entries."""
 
     def _legacy_file(self, tmp_path, estimator, workload, metrics):
-        from repro.eval import codec
+        import base64
+
         from repro.serialization import metrics_to_dict
 
         fingerprint = estimator_fingerprint(estimator)
@@ -933,27 +942,26 @@ class TestColumnarAndLegacyFiles:
             cache_mod.pair_digest("HighLight", workload.key()):
                 metrics_to_dict(metrics),
             cache_mod.pair_digest("TC", workload.key()):
-                codec.json_entry_from_metrics(metrics),
+                base64.b64encode(codec.encode_metrics(metrics)).decode(),
             cache_mod.pair_digest("S2TA", workload.key()): None,
         }
         path.write_text(json.dumps({
-            "schema_version": CACHE_SCHEMA_VERSION,
+            "schema_version": 1,
             "fingerprint": fingerprint,
             "entries": entries,
         }))
         return path
 
-    def test_schema1_file_loads_at_runtime(
+    def test_schema1_file_reads_as_miss_at_runtime(
         self, tmp_path, estimator, workload, metrics
     ):
         self._legacy_file(tmp_path, estimator, workload, metrics)
         cache = PersistentCache.for_estimator(
             tmp_path, estimator, backend="json"
         )
-        cached = cache.get("HighLight", workload.key())
-        assert cached == metrics
-        assert cache.get("TC", workload.key()) == metrics
-        assert cache.get("S2TA", workload.key()) is None
+        assert len(cache) == 0
+        for design in ("HighLight", "TC", "S2TA"):
+            assert cache.get(design, workload.key()) is MISS
 
     def test_schema1_file_rewrites_columnar_on_flush(
         self, tmp_path, estimator, workload, metrics
@@ -966,22 +974,19 @@ class TestColumnarAndLegacyFiles:
         cache.put("DSTC", other.key(), metrics)
         cache.flush()
         data = json.loads(path.read_text())
-        assert data["schema_version"] == cache_mod.COLUMNS_SCHEMA_VERSION
-        assert len(data["columns"]["lengths"]) == 4
+        assert data["schema_version"] == COLUMNS_SCHEMA_VERSION
+        assert data["columns"] == codec.columns_from_raw(
+            {cache_mod.pair_digest("DSTC", other.key()):
+                codec.encode_metrics(metrics)}
+        )
 
-    def test_schema1_file_merges_loudly(
+    def test_schema1_file_refused_by_merge(
         self, tmp_path, estimator, workload, metrics
     ):
-        """merge reads schema-1 shards through the validating raw
-        reader, so their entries land re-encoded as v2 blobs."""
-        from repro.eval import codec
-
         self._legacy_file(tmp_path / "src", estimator, workload, metrics)
-        merge_cache_dirs([tmp_path / "src"], tmp_path / "dest")
-        (dest,) = cache_mod.cache_files(tmp_path / "dest")
-        raw = cache_mod._read_raw_entries(dest)
-        digest = cache_mod.pair_digest("HighLight", workload.key())
-        assert raw[digest] == codec.encode_metrics(metrics)
+        with pytest.raises(CacheError, match="has cache schema 1"):
+            merge_cache_dirs([tmp_path / "src"], tmp_path / "dest")
+        assert not (tmp_path / "dest").exists()
 
     def test_corrupt_columns_read_empty_at_runtime_loud_on_merge(
         self, tmp_path, estimator, workload, metrics
@@ -1037,31 +1042,128 @@ class TestColumnarAndLegacyFiles:
         assert raw["json"] == raw["sqlite"]
         assert any(blob is None for blob in raw["json"].values())
 
-    def test_migrate_reencodes_v1_sqlite_rows(
-        self, tmp_path, estimator, workload, metrics
-    ):
-        """A database carrying v1 JSON TEXT rows comes out of migrate
-        holding only v2 blobs."""
-        from repro.eval import codec
+    def _v1_text_row(self, tmp_path, estimator, workload, metrics):
+        """A database whose one entry is a v1 JSON TEXT row."""
         from repro.serialization import metrics_to_dict
 
         cache = PersistentCache.for_estimator(
             tmp_path, estimator, backend="sqlite"
         )
         cache.put("HighLight", workload.key(), metrics)
-        cache.flush()
-        digest = cache_mod.pair_digest("HighLight", workload.key())
+        cache.close()
         with sqlite3.connect(cache.path) as conn:
             conn.execute(
-                "UPDATE entries SET metrics = ? WHERE digest = ?",
-                (json.dumps(metrics_to_dict(metrics)), digest),
+                "UPDATE entries SET metrics = ?",
+                (json.dumps(metrics_to_dict(metrics)),),
             )
+        conn.close()
+        return cache.path
+
+    def test_v1_text_row_reads_as_miss_and_rotates_on_flush(
+        self, tmp_path, estimator, workload, metrics
+    ):
+        path = self._v1_text_row(tmp_path, estimator, workload, metrics)
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
+        assert cache.backend == "sqlite"
+        assert cache.get("HighLight", workload.key()) is MISS
+        cache.put("TC", workload.key(), None)
         cache.close()
-        summary = migrate_cache_dir(tmp_path)
-        assert summary["reencoded_rows"] == 1
-        with sqlite3.connect(tmp_path / f"{cache.fingerprint}.db") as conn:
-            (value,) = conn.execute(
-                "SELECT metrics FROM entries WHERE digest = ?", (digest,)
-            ).fetchone()
-        assert isinstance(value, bytes)
-        assert value == codec.encode_metrics(metrics)
+        rotated = path.with_name(path.name + ".corrupt")
+        assert rotated.exists()
+        by_name = {f["file"]: f for f in cache_stats(tmp_path)["files"]}
+        assert by_name[rotated.name]["backend"] == "rotated"
+        assert by_name[path.name]["entries"] == 1
+        reloaded = PersistentCache.for_estimator(tmp_path, estimator)
+        assert reloaded.get("TC", workload.key()) is None
+        assert reloaded.get("HighLight", workload.key()) is MISS
+        reloaded.close()
+        assert clear_cache(tmp_path) == 1
+        assert not rotated.exists()
+        assert cache_stats(tmp_path)["files"] == []
+
+    def test_v1_text_row_refused_by_merge(
+        self, tmp_path, estimator, workload, metrics
+    ):
+        self._v1_text_row(tmp_path / "src", estimator, workload, metrics)
+        with pytest.raises(CacheError, match="str value"):
+            merge_cache_dirs([tmp_path / "src"], tmp_path / "dest")
+
+    def test_text_null_row_refused_by_merge(
+        self, tmp_path, estimator, workload
+    ):
+        """Only NULL and BLOB values are entries: a TEXT ``null`` is
+        refused, not copied forward as a cached unsupported verdict."""
+        cache = PersistentCache.for_estimator(
+            tmp_path / "src", estimator, backend="sqlite"
+        )
+        cache.put("TC", workload.key(), None)
+        cache.close()
+        with sqlite3.connect(cache.path) as conn:
+            conn.execute("UPDATE entries SET metrics = 'null'")
+        conn.close()
+        with pytest.raises(CacheError, match="str value"):
+            merge_cache_dirs([tmp_path / "src"], tmp_path / "dest")
+
+
+class TestNonObjectJsonFiles:
+    """A cache-named JSON file whose top level or ``columns`` block is
+    not an object is corrupt content: it counts as 0 entries, reads as
+    empty, and merge refuses it with a CacheError."""
+
+    PAYLOADS = (
+        [],
+        "text",
+        {"schema_version": COLUMNS_SCHEMA_VERSION,
+         "fingerprint": "0123456789abcdef", "columns": []},
+        {"schema_version": COLUMNS_SCHEMA_VERSION,
+         "fingerprint": "0123456789abcdef", "columns": "text"},
+    )
+
+    @pytest.fixture(params=range(len(PAYLOADS)))
+    def shard(self, request, tmp_path):
+        directory = tmp_path / "src"
+        directory.mkdir()
+        (directory / "0123456789abcdef.json").write_text(
+            json.dumps(self.PAYLOADS[request.param])
+        )
+        return directory
+
+    def test_stats_count_zero(self, shard):
+        stats = cache_stats(shard)
+        assert stats["total_entries"] == 0
+        (info,) = stats["files"]
+        assert info["entries"] == 0
+
+    def test_runtime_reads_empty(self, shard):
+        store = JsonCacheStore(shard, "0123456789abcdef")
+        assert store.load() == {}
+
+    def test_merge_refuses(self, shard, tmp_path):
+        with pytest.raises(CacheError, match="cannot read cache file"):
+            merge_cache_dirs([shard], tmp_path / "dest")
+
+
+class TestMergeDestinationFormat:
+    """merge picks its destination format through resolve_backend, the
+    one place a store format is chosen."""
+
+    def test_fresh_auto_merge_writes_json(self, tmp_path, estimator,
+                                          workload):
+        _shard(tmp_path / "s1", estimator, [("TC", workload)],
+               "sqlite")
+        summary = merge_cache_dirs([tmp_path / "s1"], tmp_path / "out")
+        assert summary["backend"] == "json"
+        assert summary["path"].endswith(".json")
+
+    def test_auto_merge_upgrades_outgrown_json_dest(
+        self, tmp_path, estimator, workload, monkeypatch
+    ):
+        other = synthetic_workload(0.75, 0.0, size=128)
+        _shard(tmp_path / "s1", estimator, [("TC", workload)], "json")
+        _shard(tmp_path / "out", estimator, [("STC", other)], "json")
+        monkeypatch.setattr(cache_mod, "AUTO_SQLITE_SIZE_BYTES", 1)
+        summary = merge_cache_dirs([tmp_path / "s1"], tmp_path / "out")
+        assert summary["backend"] == "sqlite"
+        assert [p.suffix for p in cache_mod.cache_files(
+            tmp_path / "out")] == [".db"]
+        assert summary["total_entries"] == 2

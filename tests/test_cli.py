@@ -587,6 +587,7 @@ class TestCacheBackendOption:
         assert "sqlite" in out
 
     def test_migrate_converts_json_to_sqlite(self, tmp_path, capsys):
+        """Migrating in place is a merge of the directory into itself."""
         cache_dir = tmp_path / "cache"
         fill = [
             "sweep", "--designs", "TC,HighLight",
@@ -595,10 +596,9 @@ class TestCacheBackendOption:
         ]
         assert main(fill + ["--cache-backend", "json"]) == 0
         capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 file(s)" in out
+        assert main(["cache", "merge", str(cache_dir), "--cache-dir",
+                     str(cache_dir), "--cache-backend", "sqlite"]) == 0
+        assert "(sqlite)" in capsys.readouterr().out
         assert not list(cache_dir.glob("*.json"))
         assert list(cache_dir.glob("*.db"))
         # The migrated cache serves a warm run untouched.
@@ -607,11 +607,30 @@ class TestCacheBackendOption:
         record = json.loads(record_path.read_text())
         assert record["cache"]["evaluations"] == 0
 
-    def test_migrate_on_empty_directory(self, tmp_path, capsys):
-        (tmp_path / "empty").mkdir()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(tmp_path / "empty")]) == 0
-        assert "no cache files to migrate" in capsys.readouterr().out
+    def test_migrate_action_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "migrate", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+
+    def test_merge_refuses_non_object_cache_file(self, tmp_path, capsys):
+        source = tmp_path / "src"
+        source.mkdir()
+        (source / "0123456789abcdef.json").write_text("[]")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "merge", str(source), "--cache-dir",
+                  str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: cannot read cache file" in err
+        assert "Traceback" not in err
+
+    def test_stats_count_non_object_cache_file_as_empty(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "0123456789abcdef.json").write_text("[]")
+        assert main(["cache", "stats", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert "total entries: 0" in capsys.readouterr().out
 
     def test_merge_backend_controls_dest_format(self, tmp_path, capsys):
         shard = tmp_path / "s1"
@@ -638,9 +657,9 @@ class TestCacheBackendOption:
 
     def test_cache_backend_rejected_outside_merge(self, tmp_path,
                                                   capsys):
-        """'cache migrate --cache-backend json' must not exit 0 while
-        converting to sqlite anyway."""
-        for action in ("stats", "clear", "migrate"):
+        """--cache-backend picks a merge destination format; any other
+        action must refuse it rather than silently ignore it."""
+        for action in ("stats", "clear"):
             with pytest.raises(SystemExit):
                 main([
                     "cache", action, "--cache-dir", str(tmp_path),

@@ -2,11 +2,10 @@
 
 The codec's contract is *exactness*: a decode returns the same floats
 that were encoded (raw IEEE-754, no text round-trip) and preserves
-energy-breakdown key order, so every equality here is ``==``. The
-legacy forms — v1 tagged dicts (JSON store schema 1, SQLite TEXT
-rows) — must keep decoding next to v2 blobs, and structural corruption
-must surface as :class:`~repro.errors.CacheError`, never a silent
-wrong answer.
+energy-breakdown key order, so every equality here is ``==``.
+Structural corruption — including a leftover legacy form such as a v1
+SQLite TEXT row — must surface as :class:`~repro.errors.CacheError`,
+never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -138,40 +137,20 @@ class TestBlobCorruption:
         with pytest.raises(CacheError, match="names"):
             codec.decode_blob(bytes(blob))
 
+    def test_non_bytes_value_refused(self):
+        for value in ("text", 42, 1.5):
+            with pytest.raises(CacheError, match="corrupt metrics blob"):
+                codec.decode_blob(value)
+
 
 class TestLegacyForms:
-    def test_v1_sqlite_text_row_decodes(self, metrics):
+    def test_v1_sqlite_text_row_refused(self, metrics):
         text = json.dumps(metrics_to_dict(metrics))
-        _assert_exact(codec.decode_sqlite_value(text), metrics)
-
-    def test_v1_json_dict_entry_decodes(self, metrics):
-        _assert_exact(
-            codec.decode_json_entry(metrics_to_dict(metrics)), metrics
-        )
-
-    def test_base64_json_entry_decodes(self, metrics):
-        _assert_exact(
-            codec.decode_json_entry(codec.json_entry_from_metrics(metrics)),
-            metrics,
-        )
+        with pytest.raises(CacheError, match="corrupt metrics blob"):
+            codec.decode_sqlite_value(text)
 
     def test_none_passes_through_every_decoder(self):
         assert codec.decode_sqlite_value(None) is None
-        assert codec.decode_json_entry(None) is None
-        assert codec.raw_from_sqlite_value(None) is None
-        assert codec.raw_from_json_entry(None) is None
-        assert codec.json_entry_from_blob(None) is None
-
-    def test_raw_bridges_agree_across_forms(self, metrics):
-        """Whatever stored form an entry arrives in, the canonical raw
-        blob is the same bytes."""
-        blob = codec.encode_metrics(metrics)
-        v1_dict = metrics_to_dict(metrics)
-        assert codec.raw_from_sqlite_value(blob) == blob
-        assert codec.raw_from_sqlite_value(json.dumps(v1_dict)) == blob
-        assert codec.raw_from_json_entry(v1_dict) == blob
-        entry = codec.json_entry_from_blob(blob)
-        assert codec.raw_from_json_entry(entry) == blob
 
 
 class TestColumnarBlock:
@@ -232,8 +211,3 @@ class TestColumnarBlock:
         with pytest.raises(CacheError, match="lengths cover"):
             codec.raw_from_columns(columns)
 
-
-class TestHumanExport:
-    def test_raw_dict_matches_v1_serialization(self, metrics):
-        blob = codec.encode_metrics(metrics)
-        assert codec.raw_dict_from_blob(blob) == metrics_to_dict(metrics)

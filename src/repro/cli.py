@@ -13,7 +13,7 @@ Usage::
     python -m repro queue stats|requeue     # job-queue upkeep
     python -m repro worker [--queue DB]     # claim + evaluate until drained
     python -m repro list [--filter k=v]     # registered designs/artifacts
-    python -m repro report [--output PATH]  # EXPERIMENTS.md record
+    python -m repro report [--output PATH]  # EXPERIMENTS.md + claims
     python -m repro lint [PATHS]            # repo invariant checker
 
 Bare artifact names keep working as shorthand: ``python -m repro
@@ -25,8 +25,9 @@ Artifacts are declarative specs in the
 :data:`~repro.eval.artifacts.ARTIFACTS` registry: each computes a
 structured result and renders it as ``--format text`` (default, the
 historical output), ``json``, ``csv``, or ``md`` (composable markdown
-sections — ``repro report --format md`` stacks them into an
-EXPERIMENTS.md). One invocation builds a single
+sections — ``repro report`` stacks them into an EXPERIMENTS.md and
+closes it with the paper-claims ledger of
+:mod:`repro.eval.claims`). One invocation builds a single
 :class:`~repro.eval.engine.EngineContext` — estimator, memoizing
 :class:`~repro.eval.engine.SweepEngine`, optional ``--cache-dir``
 persistent cache — and runs a :class:`~repro.eval.artifacts.RunPlan`
@@ -90,7 +91,7 @@ from repro.registry import COLLISION_MODES
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.serve.server import serve as run_serve
 
-#: Paper order for `all` and the report (= registry registration order).
+#: Paper order for `all` (= registry registration order).
 ORDER = list(ARTIFACTS.names())
 
 #: Geomean-able sweep metrics the `sweep` subcommand can render.
@@ -260,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "object per artifact)",
     )
     _add_engine_options(artifact)
-    artifact.add_argument(
-        "--output",
-        default=None,
-        help="(report mode only — rejected here with an explicit error)",
-    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -515,18 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report = sub.add_parser(
-        "report", help="write the EXPERIMENTS.md paper-vs-measured record"
+        "report",
+        help="write EXPERIMENTS.md: every artifact's markdown section "
+        "plus the paper-claims table",
     )
     report.add_argument(
         "--output", default="EXPERIMENTS.md", metavar="PATH",
         help="destination path (default EXPERIMENTS.md)",
-    )
-    report.add_argument(
-        "--format", choices=("full", "md"), default="full",
-        dest="report_format",
-        help="'full' (default) writes the annotated paper-vs-measured "
-        "record; 'md' composes the document from each artifact's "
-        "registry markdown section",
     )
     _add_engine_options(report)
 
@@ -634,11 +625,6 @@ def _stream_stats_line(event: ArtifactFinished) -> str:
 
 def _cmd_artifact(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> int:
-    if args.output is not None:
-        parser.error(
-            "--output is only valid with the 'report' subcommand "
-            "(artifacts print to stdout)"
-        )
     # Dedup repeated names (first occurrence wins): results are
     # name-keyed, so batch mode always rendered a repeat once —
     # streaming and per-artifact records must agree with it.
@@ -1196,31 +1182,28 @@ def _cmd_list(args: argparse.Namespace,
 
 def _cmd_report(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
-    from repro.eval.report import run_markdown_report, write_report
+    from repro.eval.report import run_report
 
-    if args.report_format == "full" and args.record:
-        parser.error(
-            "--record applies to 'report --format md' (the full "
-            "report has no structured artifact results to record)"
-        )
     ctx = _build_context(args)
     with closing(ctx.engine):
-        if args.report_format == "md":
-            document, outcome = run_markdown_report(ctx, ORDER)
+        document, outcome = run_report(ctx)
+        try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(document)
-            if ctx.record_path:
-                record = record_from_artifacts(
-                    command="report",
-                    results=outcome.results,
-                    engine=ctx.engine,
-                    wall_time_s=outcome.wall_time_s,
-                    artifact_stats=outcome.artifact_stats(),
-                )
-                print(f"wrote {record.write(ctx.record_path)}",
-                      file=sys.stderr)
-        else:
-            write_report(args.output, ctx)
+        except OSError as exc:
+            parser.error(
+                f"cannot write {args.output}: {exc.strerror or exc}"
+            )
+        if ctx.record_path:
+            record = record_from_artifacts(
+                command="report",
+                results=outcome.results,
+                engine=ctx.engine,
+                wall_time_s=outcome.wall_time_s,
+                artifact_stats=outcome.artifact_stats(),
+            )
+            print(f"wrote {record.write(ctx.record_path)}",
+                  file=sys.stderr)
         print(f"wrote {args.output}")
         return 0
 

@@ -40,6 +40,10 @@ class ShapeOutcome:
     #: HighLight EDP gain vs the dense baseline at A 75% / B 50%.
     sparse_gain_vs_dense: float
 
+    @property
+    def all_hold(self) -> bool:
+        return self.highlight_best and self.dense_parity
+
 
 #: The designs and sparsity degrees each shape is checked at.
 SHAPE_DESIGNS: Tuple[str, ...] = ("TC", "STC", "DSTC", "HighLight")

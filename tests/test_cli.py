@@ -1,4 +1,4 @@
-"""Tests for the CLI and the EXPERIMENTS.md report generator."""
+"""Tests for the CLI, including the ``report`` subcommand."""
 
 import json
 import os
@@ -14,7 +14,7 @@ from repro.energy import Estimator
 from repro.eval import experiments as E
 from repro.eval.artifacts import compute_artifacts
 from repro.eval.engine import EngineContext
-from repro.eval.report import build_report
+from repro.eval.report import run_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,10 +56,53 @@ class TestCli:
         assert "paper vs. measured" in content
 
     def test_output_outside_report_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["artifact", "fig6", "--output", "somewhere.md"])
+        assert excinfo.value.code == 2
+        assert "--output" in capsys.readouterr().err
+
+    def test_report_rejects_the_removed_format_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--format", "md"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format md" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        (("missing/EXPERIMENTS.md", "No such file or directory"),
+         (".", "Is a directory")),
+        ids=("missing-dir", "directory"),
+    )
+    def test_unwritable_report_output_is_a_usage_error(
+        self, tmp_path, target, reason, capsys
+    ):
+        path = tmp_path / target
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--output", str(path)])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "report" in err
+        assert f"repro: error: cannot write {path}: {reason}" in err
+
+    def test_import_leaves_report_modules_unloaded(self):
+        """The report, the claims ledger and the robustness sweeps load
+        only when ``repro report`` runs, never on ``import repro.cli``."""
+        lazy = (
+            "repro.eval.report", "repro.eval.claims",
+            "repro.eval.sensitivity", "repro.eval.shapes",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        code = (
+            "import sys, repro.cli\n"
+            f"print([m for m in {lazy!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize(
         "option", (["--jobs", "2"], ["--backend", "thread"]),
@@ -114,7 +157,7 @@ class TestCli:
 class TestReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return build_report()
+        return run_report()[0]
 
     def test_covers_every_artifact(self, report):
         for artifact in (
@@ -126,9 +169,6 @@ class TestReport:
     def test_records_headline_numbers(self, report):
         assert "6.4x" in report  # the paper's geomean claim
         assert "5.7%" in report  # the SAF area share
-
-    def test_frontier_flags_positive(self, report):
-        assert "NO" not in report.split("Fig. 15")[1].split("Fig. 16")[0]
 
 
 class TestSweepSubcommand:

@@ -180,14 +180,27 @@ class TestMarkdownRenderer:
         assert f"```\n{info.render_text(results[name])}\n```" in rendered
 
     def test_report_md_composes_artifact_sections(
-        self, results, estimator
+        self, results, estimator, tmp_path, capsys
     ):
-        from repro.eval.report import build_markdown_report
+        from repro.eval.report import run_report
 
-        document = build_markdown_report(estimator)
+        document, _ = run_report(estimator)
         assert document.startswith("# EXPERIMENTS")
         for name in PAPER_ORDER:
             assert render(results[name], "md") in document
+        assert "\n## Paper claims\n" in document
+        assert document.index("## Paper claims") > document.index(
+            "## Fig. 17"
+        )
+
+        record_path = tmp_path / "report.json"
+        assert main(["report", "--output", str(tmp_path / "E.md"),
+                     "--record", str(record_path)]) == 0
+        record = load_record(record_path)
+        assert record["schema_version"] == 4
+        assert record["command"] == "report"
+        assert list(record["artifact_stats"]) == list(PAPER_ORDER)
+        assert list(record["artifacts"]) == list(PAPER_ORDER)
 
 
 class TestStreamCli:

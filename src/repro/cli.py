@@ -36,6 +36,10 @@ exactly once and resumes from disk across runs. ``--stream``
 consumes the plan's event stream instead of the batch view: each
 artifact prints the moment its compute returns, with its own scoped
 cache-hit/evaluation counts.
+
+``sweep`` and ``queue fill`` hand the flags the user set to
+:func:`repro.eval.sweeps.parse_sweep_spec`, the parser behind
+``POST /v1/sweep`` too, so all three share every default and rule.
 """
 
 from __future__ import annotations
@@ -50,13 +54,8 @@ from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.accelerators import REGISTRY, main_design_names
-from repro.dnn.models import (
-    get_model,
-    load_model_file,
-    model_names,
-    register_model,
-)
+from repro.accelerators import REGISTRY
+from repro.dnn.models import load_model_file, model_names, register_model
 from repro.energy.estimator import Estimator
 from repro.errors import (
     CacheError,
@@ -67,9 +66,9 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.eval import cache as cache_mod
-from repro.eval import experiments as E
 from repro.eval import queue as queue_mod
 from repro.eval import reporting as R
+from repro.eval import sweeps
 from repro.eval.artifacts import (
     ARTIFACTS,
     FORMATS,
@@ -81,12 +80,7 @@ from repro.eval.artifacts import (
     stats_by_artifact,
 )
 from repro.eval.engine import GEOMEAN_METRICS, EngineContext
-from repro.eval.runs import (
-    record_from_artifacts,
-    record_from_model_sweep,
-    record_from_sweep,
-    record_from_worker,
-)
+from repro.eval.runs import record_from_artifacts, record_from_worker
 from repro.registry import COLLISION_MODES
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.serve.server import serve as run_serve
@@ -145,11 +139,6 @@ def _parse_degrees(text: str) -> Tuple[float, ...]:
         )
     if not degrees:
         raise argparse.ArgumentTypeError("empty degree list")
-    for degree in degrees:
-        if not 0.0 <= degree < 1.0:
-            raise argparse.ArgumentTypeError(
-                f"sparsity degrees must be in [0, 1), got {degree}"
-            )
     return degrees
 
 
@@ -304,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="operand-B sparsity degrees (default: the Fig. 13 grid)",
     )
     sweep.add_argument(
-        "--size", type=_positive_int, default=None, metavar="N",
+        "--size", type=int, default=None, metavar="N",
         help="cubic GEMM side M=K=N (default 1024)",
     )
     sweep.add_argument(
@@ -431,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grid)",
     )
     queue.add_argument(
-        "--size", type=_positive_int, default=None, metavar="N",
+        "--size", type=int, default=None, metavar="N",
         help="(fill) cubic GEMM side M=K=N (default 1024)",
     )
     queue.add_argument(
@@ -669,72 +658,26 @@ def _cmd_artifact(args: argparse.Namespace,
         return 0
 
 
-def _cmd_sweep_model(args: argparse.Namespace,
-                     parser: argparse.ArgumentParser,
-                     model=None) -> int:
+def _sweep_spec(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> sweeps.SweepSpec:
+    """The sweep spec of the flags the user set (``repro sweep`` and
+    ``repro queue fill``): every flag is named after its spec key, and
+    every rule and default is :mod:`repro.eval.sweeps`'s."""
+    data: Dict[str, Any] = {}
+    for key in sweeps.SWEEP_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            data[key] = list(value) if isinstance(value, tuple) else value
+    if "profile" in data:
+        data["profile"] = Path(data["profile"])
     try:
-        # --model-file passes its model directly: re-resolving by name
-        # could hit a case-insensitive builtin (e.g. "resnet50").
-        if model is None:
-            model = get_model(args.model)
-        profile = (
-            E.load_profile(args.profile)
-            if args.profile is not None else None
-        )
+        return sweeps.parse_sweep_spec(data)
     except WorkloadError as error:
         parser.error(str(error))
-    design_names = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    ctx = _build_context(args)
-    with closing(ctx.engine):
-        start = time.perf_counter()
-        try:
-            sweep = E.sweep_model(
-                model,
-                designs=design_names,
-                degrees=args.degrees,
-                ctx=ctx,
-                profile=profile,
-            )
-        except WorkloadError as error:
-            parser.error(str(error))
-        wall_time_s = time.perf_counter() - start
-        print(R.render_model_sweep(sweep))
-        stats = ctx.engine.stats
-        print(
-            f"\n{len(design_names)} designs on {model.name}: "
-            f"{stats.evaluations} workloads evaluated, "
-            f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
-            f"in {wall_time_s:.2f}s"
-        )
-        if ctx.record_path:
-            record = record_from_model_sweep(
-                command="sweep-model",
-                sweep=sweep,
-                engine=ctx.engine,
-                wall_time_s=wall_time_s,
-            )
-            path = record.write(ctx.record_path)
-            print(f"wrote {path}")
-        return 0
-
-
-def _design_names(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> Tuple[str, ...]:
-    """``--designs`` (default: the main evaluation), every name
-    checked against the design registry."""
-    names = tuple(args.designs) if args.designs else main_design_names()
-    for name in names:
-        if name not in REGISTRY:
-            parser.error(REGISTRY.unknown(name))
-    return names
 
 
 def _cmd_sweep(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    design_names = _design_names(args, parser)
-    loaded_model = None
     if args.model_file is not None:
         if args.model is not None:
             parser.error(
@@ -746,50 +689,20 @@ def _cmd_sweep(args: argparse.Namespace,
             # shadowing a builtin like ResNet50 — any case variant —
             # is refused inside register_model and lands here as a
             # loud parser error.
-            loaded_model = register_model(
+            args.model = register_model(
                 load_model_file(args.model_file), replace=True
-            )
+            ).name
         except WorkloadError as error:
             parser.error(str(error))
-        args.model = loaded_model.name
-    if args.model is not None:
-        for flag, value in (
-            ("--a-degrees", args.a_degrees),
-            ("--b-degrees", args.b_degrees),
-            ("--size", args.size),
-        ):
-            if value is not None:
-                parser.error(
-                    f"{flag} applies to synthetic grids; a --model "
-                    f"sweep takes its shapes from the network's layers "
-                    f"(use --degrees for the weight-sparsity ladder)"
-                )
-        return _cmd_sweep_model(args, parser, model=loaded_model)
-    if args.degrees is not None:
-        parser.error(
-            "--degrees applies to --model sweeps; use --a-degrees/"
-            "--b-degrees for synthetic grids"
-        )
-    if args.profile is not None:
-        parser.error(
-            "--profile applies to --model/--model-file sweeps (it "
-            "maps layer names to degrees)"
-        )
-    a_degrees = args.a_degrees if args.a_degrees is not None else E.A_DEGREES
-    b_degrees = args.b_degrees if args.b_degrees is not None else E.B_DEGREES
-    size = args.size if args.size is not None else 1024
+    spec = _sweep_spec(args, parser)
     ctx = _build_context(args)
     with closing(ctx.engine):
-        start = time.perf_counter()
-        sweep = ctx.engine.sweep(
-            designs=design_names,
-            a_degrees=a_degrees,
-            b_degrees=b_degrees,
-            m=size, k=size, n=size,
-        )
-        wall_time_s = time.perf_counter() - start
         try:
-            rendered = R.render_sweep(sweep, args.metric)
+            run = spec.run(ctx)
+        except WorkloadError as error:
+            parser.error(str(error))
+        try:
+            rendered = run.render(args.metric)
         except EvaluationError as error:
             # E.g. S2TA as baseline on a grid with a dense-dense cell
             # it cannot process: normalization has nothing to divide
@@ -797,27 +710,14 @@ def _cmd_sweep(args: argparse.Namespace,
             parser.error(
                 f"cannot normalize this grid: {error}. Include TC in "
                 f"--designs or restrict the degree grids to cells the "
-                f"baseline ({sweep.baseline}) supports."
+                f"baseline ({run.result.baseline}) supports."
             )
         print(rendered)
-        stats = ctx.engine.stats
-        print(
-            f"\n{len(design_names)} designs x {len(a_degrees)}x"
-            f"{len(b_degrees)} degree grid @ {size}^3: "
-            f"{stats.evaluations} workloads evaluated, "
-            f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
-            f"in {wall_time_s:.2f}s"
-        )
+        print(f"\n{run.summary()}")
         if ctx.record_path:
-            record = record_from_sweep(
-                command="sweep",
-                sweep=sweep,
-                engine=ctx.engine,
-                wall_time_s=wall_time_s,
-                shape=(size, size, size),
-            )
-            path = record.write(ctx.record_path)
-            print(f"wrote {path}")
+            path = run.record().write(ctx.record_path)
+            # stderr: stdout stays the rendered table.
+            print(f"wrote {path}", file=sys.stderr)
         return 0
 
 
@@ -947,46 +847,6 @@ def _queue_location(
     return path, (fingerprint if require_fingerprint else None)
 
 
-def _queue_fill_pairs(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser):
-    designs = _design_names(args, parser)
-    if args.model is not None:
-        for flag, value in (
-            ("--a-degrees", args.a_degrees),
-            ("--b-degrees", args.b_degrees),
-            ("--size", args.size),
-        ):
-            if value is not None:
-                parser.error(
-                    f"{flag} applies to synthetic grids; a --model "
-                    f"fill takes its shapes from the network's layers"
-                )
-        try:
-            model = get_model(args.model)
-            profile = (
-                E.load_profile(args.profile)
-                if args.profile is not None else None
-            )
-            return queue_mod.model_fill_pairs(
-                model, designs, degrees=args.degrees, profile=profile
-            )
-        except WorkloadError as error:
-            parser.error(str(error))
-    for flag, value in (
-        ("--degrees", args.degrees),
-        ("--profile", args.profile),
-    ):
-        if value is not None:
-            parser.error(f"{flag} applies to 'queue fill --model'")
-    size = args.size if args.size is not None else 1024
-    return queue_mod.grid_fill_pairs(
-        designs,
-        args.a_degrees if args.a_degrees is not None else E.A_DEGREES,
-        args.b_degrees if args.b_degrees is not None else E.B_DEGREES,
-        m=size, k=size, n=size,
-    )
-
-
 def _print_queue_stats(store: queue_mod.JobStore) -> None:
     stats = store.stats()
     print(f"queue: {store.path}")
@@ -1001,27 +861,23 @@ def _print_queue_stats(store: queue_mod.JobStore) -> None:
 
 def _cmd_queue(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    fill_only = (
-        ("--designs", args.designs),
-        ("--a-degrees", args.a_degrees),
-        ("--b-degrees", args.b_degrees),
-        ("--size", args.size),
-        ("--model", args.model),
-        ("--degrees", args.degrees),
-        ("--profile", args.profile),
-    )
     if args.action != "fill":
-        for flag, value in fill_only:
-            if value is not None:
+        for key in sweeps.SWEEP_KEYS:
+            if getattr(args, key) is not None:
                 parser.error(
-                    f"{flag} only applies to 'queue fill', not "
-                    f"'queue {args.action}'"
+                    f"{sweeps.flag(key)} only applies to 'queue fill', "
+                    f"not 'queue {args.action}'"
                 )
     if args.stale and args.action != "requeue":
         parser.error(
             f"--stale only applies to 'queue requeue', not "
             f"'queue {args.action}'"
         )
+    if args.action == "fill":
+        try:
+            pairs = _sweep_spec(args, parser).pairs()
+        except WorkloadError as error:
+            parser.error(str(error))
     path, fingerprint = _queue_location(
         args, parser, require_fingerprint=args.action == "fill"
     )
@@ -1029,8 +885,6 @@ def _cmd_queue(args: argparse.Namespace,
         parser.error(
             f"no queue database at {path}; run 'repro queue fill' first"
         )
-    if args.action == "fill":
-        pairs = _queue_fill_pairs(args, parser)
     try:
         with queue_mod.JobStore(path, fingerprint) as store:
             if args.action == "fill":

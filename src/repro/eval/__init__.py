@@ -7,9 +7,11 @@ supports, and operands may be swapped — Sec. 7.1);
 grids into memoized, optionally persisted cell evaluations; the
 experiment functions in :mod:`repro.eval.experiments` regenerate every
 figure and table of the evaluation section on top of it;
-:mod:`repro.eval.reporting` prints them in the same rows/series the
-paper reports, and :mod:`repro.eval.runs` snapshots whole sweep
-invocations as JSON run records.
+:mod:`repro.eval.sweeps` is the one sweep request — parsed, defaulted
+and run the same for ``repro sweep``, ``repro queue fill`` and
+``POST /v1/sweep``; :mod:`repro.eval.reporting` prints them in the
+same rows/series the paper reports, and :mod:`repro.eval.runs`
+snapshots whole sweep invocations as JSON run records.
 """
 
 from repro.eval.harness import (

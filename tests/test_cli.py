@@ -227,9 +227,13 @@ class TestModelSweepSubcommand:
             "--designs", "TC,HighLight", "--degrees", "0.0,0.5",
             "--record", str(record_path),
         ]) == 0
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         assert "Network sweep — DeiT-small" in out
         assert "workloads evaluated" in out
+        # Like `artifact` and `worker`: stdout stays the table.
+        assert f"wrote {record_path}" in captured.err
+        assert "wrote" not in out
         record = json.loads(record_path.read_text())
         assert record["command"] == "sweep-model"
         assert record["grid"]["model"] == "DeiT-small"
@@ -276,6 +280,26 @@ class TestModelSweepSubcommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--degrees", "0.5", "--size", "64"])
         assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--a-degrees", "0.5,0.5", "--b-degrees", "0"],
+             "duplicate degree(s) in 'a_degrees' (--a-degrees): 0.5"),
+            (["--model", "DeiT-small", "--degrees", "0.5,0.5"],
+             "duplicate degree(s) in 'degrees' (--degrees): 0.5"),
+        ],
+        ids=("grid", "model"),
+    )
+    def test_duplicate_degrees_rejected(self, flags, message, capsys):
+        """A repeated degree is a usage error, not a table with a
+        repeated row (or a grid header counting a row twice)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_grid_flags_with_model_rejected(self, capsys):
         """Grid-only flags must not be silently ignored on a model

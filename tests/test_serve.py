@@ -10,6 +10,7 @@ SIGTERM included.
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.accelerators import main_design_names
+from repro.cli import main
 from repro.errors import EvaluationError, ServeError
 from repro.eval import cache as cache_mod
 from repro.eval import experiments as E
@@ -150,6 +152,71 @@ class TestArtifactsSpec:
             protocol.parse_artifacts_spec({"artifacts": ["nope"]})
 
 
+#: Stand-ins in CLI flags for a file holding the spec's inline
+#: ``model`` table / ``profile`` mapping.
+MODEL_FILE = "<model file>"
+PROFILE_FILE = "<profile file>"
+
+#: One rejection table for all three ways to ask for a sweep: each row
+#: is a ``POST /v1/sweep`` spec, the message it must fail with, and the
+#: same request as ``repro sweep`` / ``repro queue fill`` flags (``None``
+#: where the flags cannot express it).
+SWEEP_REJECTIONS = [
+    ([], "JSON object", None),
+    ({"grid": True}, "unknown sweep spec key", None),
+    ({"designs": []}, "non-empty list", None),
+    ({"designs": ["bogus"]}, "unknown design", ["--designs", "bogus"]),
+    ({"designs": ["TC", "TC"]}, "duplicate design", None),
+    ({"a_degrees": [1.5]}, r"in \[0, 1\)", ["--a-degrees", "1.5"]),
+    ({"a_degrees": [True]}, "sparsity degrees", ["--a-degrees", "true"]),
+    ({"size": 0}, "positive integer", ["--size", "0"]),
+    ({"size": True}, "positive integer", None),
+    (
+        {"model": "ResNet50", "size": 32}, "grid sweeps",
+        ["--model", "ResNet50", "--size", "32"],
+    ),
+    ({"degrees": [0.5]}, "model sweeps", ["--degrees", "0.5"]),
+    ({"model": "NoSuchNet"}, "NoSuchNet", ["--model", "NoSuchNet"]),
+    ({"model": {"name": "x"}}, "missing field", ["--model-file", MODEL_FILE]),
+    (
+        {"model": "ResNet50", "profile": {"not-a-layer": 0.5}},
+        "not-a-layer",
+        ["--model", "ResNet50", "--profile", PROFILE_FILE],
+    ),
+    (
+        {"a_degrees": [0.5, 0.5], "b_degrees": [0.0]},
+        "duplicate degree",
+        ["--a-degrees", "0.5,0.5", "--b-degrees", "0"],
+    ),
+    (
+        {"model": "DeiT-small", "degrees": [0.5, 0.0, 0.5]},
+        "duplicate degree",
+        ["--model", "DeiT-small", "--degrees", "0.5,0,0.5"],
+    ),
+]
+CLI_REJECTIONS = [row for row in SWEEP_REJECTIONS if row[2] is not None]
+#: ``queue fill`` has no ``--model-file``.
+FILL_REJECTIONS = [
+    row for row in CLI_REJECTIONS if "--model-file" not in row[2]
+]
+
+
+def _assert_usage_error(command, spec, match, flags, tmp_path, capsys):
+    """The CLI spelling of a rejected spec exits 2 with its message."""
+    files = {MODEL_FILE: "model", PROFILE_FILE: "profile"}
+    argv = list(command)
+    for flag in flags:
+        if flag in files:
+            path = tmp_path / f"{files[flag]}.json"
+            path.write_text(json.dumps(spec[files[flag]]))
+            flag = str(path)
+        argv.append(flag)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert re.search(match, capsys.readouterr().err)
+
+
 class TestSweepSpec:
     def test_defaults_resolve_into_the_digest(self):
         implicit = protocol.parse_sweep_spec({})
@@ -203,32 +270,53 @@ class TestSweepSpec:
         protocol.parse_sweep_spec({"model": dict(MODEL_TABLE)})
         assert "ServeNet" not in scratch_models
 
+    def test_sweeps_module_leaves_serve_and_asyncio_unloaded(self):
+        """The sweep spec lives in the eval layer: parsing one pulls in
+        neither the service nor its event loop."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        code = (
+            "import sys, repro.eval.sweeps\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'asyncio' or m.startswith('asyncio.')\n"
+            "             or m == 'repro.serve'\n"
+            "             or m.startswith('repro.serve.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize(
-        ("bad", "match"),
-        [
-            ([], "JSON object"),
-            ({"grid": True}, "unknown sweep spec key"),
-            ({"designs": []}, "non-empty list"),
-            ({"designs": ["bogus"]}, "unknown design"),
-            ({"designs": ["TC", "TC"]}, "duplicate design"),
-            ({"a_degrees": [1.5]}, r"in \[0, 1\)"),
-            ({"a_degrees": [True]}, "sparsity degrees"),
-            ({"size": 0}, "positive integer"),
-            ({"size": True}, "positive integer"),
-            ({"model": "ResNet50", "size": 32}, "grid sweeps"),
-            ({"degrees": [0.5]}, "model sweeps"),
-            ({"model": "NoSuchNet"}, "NoSuchNet"),
-            ({"model": {"name": "x"}}, "missing field"),
-            (
-                {"model": "ResNet50",
-                 "profile": {"not-a-layer": 0.5}},
-                "not-a-layer",
-            ),
-        ],
+        ("bad", "match"), [row[:2] for row in SWEEP_REJECTIONS]
     )
     def test_invalid_specs_raise_serve_error(self, bad, match):
         with pytest.raises(ServeError, match=match):
             protocol.parse_sweep_spec(bad)
+
+    @pytest.mark.parametrize(
+        ("spec", "match", "flags"), CLI_REJECTIONS,
+        ids=[" ".join(row[2]) for row in CLI_REJECTIONS],
+    )
+    def test_invalid_specs_exit_2_from_repro_sweep(
+        self, spec, match, flags, tmp_path, capsys
+    ):
+        _assert_usage_error(
+            ["sweep"], spec, match, flags, tmp_path, capsys
+        )
+
+    @pytest.mark.parametrize(
+        ("spec", "match", "flags"), FILL_REJECTIONS,
+        ids=[" ".join(row[2]) for row in FILL_REJECTIONS],
+    )
+    def test_invalid_specs_exit_2_from_queue_fill(
+        self, spec, match, flags, tmp_path, capsys
+    ):
+        _assert_usage_error(
+            ["queue", "fill", "--cache-dir", str(tmp_path)],
+            spec, match, flags, tmp_path, capsys,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +412,22 @@ class TestEndpoints:
             payload = json.loads(body)
             assert "unknown artifact" in payload["error"]
             assert "tables" in payload["error"]
+
+        run_async(self._serve(exercise))
+
+    def test_duplicate_degrees_sweep_is_400(self):
+        """A repeated degree is refused, not digested apart from the
+        same request without the repeat."""
+        async def exercise(service):
+            status, body = await request(
+                service.port, "POST", "/v1/sweep",
+                body={"designs": ["TC"], "a_degrees": [0.5, 0.5],
+                      "b_degrees": [0.0], "size": 32},
+            )
+            assert status == 400
+            payload = json.loads(body)
+            assert payload["type"] == "ServeError"
+            assert "duplicate degree(s) in 'a_degrees'" in payload["error"]
 
         run_async(self._serve(exercise))
 

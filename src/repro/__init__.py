@@ -12,14 +12,7 @@ harness that regenerates every figure and table in the paper.
 
 __version__ = "1.0.0"
 
-from repro.sparsity import (
-    GH,
-    GHRange,
-    HSSPattern,
-    SparsitySpec,
-    parse_spec,
-    sparsify,
-)
+from typing import TYPE_CHECKING
 
 __all__ = [
     "GH",
@@ -30,3 +23,22 @@ __all__ = [
     "sparsify",
     "__version__",
 ]
+
+if TYPE_CHECKING:
+    from repro.sparsity import (
+        GH,
+        GHRange,
+        HSSPattern,
+        SparsitySpec,
+        parse_spec,
+        sparsify,
+    )
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "sparsity": (
+            "GH", "GHRange", "HSSPattern", "SparsitySpec", "parse_spec",
+            "sparsify",
+        ),
+    })

@@ -52,9 +52,10 @@ import sys
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.accelerators import REGISTRY
+from repro.defaults import DEFAULT_BATCH_SIZE, DEFAULT_LEASE_S, DEFAULT_PORT
 from repro.dnn.models import load_model_file, model_names, register_model
 from repro.energy.estimator import Estimator
 from repro.errors import (
@@ -66,9 +67,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.eval import cache as cache_mod
-from repro.eval import queue as queue_mod
 from repro.eval import reporting as R
-from repro.eval import sweeps
 from repro.eval.artifacts import (
     ARTIFACTS,
     FORMATS,
@@ -80,10 +79,15 @@ from repro.eval.artifacts import (
     stats_by_artifact,
 )
 from repro.eval.engine import GEOMEAN_METRICS, EngineContext
-from repro.eval.runs import record_from_artifacts, record_from_worker
 from repro.registry import COLLISION_MODES
-from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
-from repro.serve.server import serve as run_serve
+
+if TYPE_CHECKING:
+    from repro.eval.queue import JobStore
+    from repro.eval.sweeps import SweepSpec
+
+# A module only some subcommands use (the service, the job queue, the
+# sweep spec, run records, the report, the linter) is imported inside
+# the handlers that use it, so no other command loads or compiles it.
 
 #: Paper order for `all` (= registry registration order).
 ORDER = list(ARTIFACTS.names())
@@ -350,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="interface to bind (default 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=_port, default=SERVE_DEFAULT_PORT,
+        "--port", type=_port, default=DEFAULT_PORT,
         metavar="PORT",
-        help=f"TCP port (default {SERVE_DEFAULT_PORT}; 0 binds "
+        help=f"TCP port (default {DEFAULT_PORT}; 0 binds "
         f"any free port — the bound address is announced on stderr)",
     )
     serve.add_argument(
@@ -465,15 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--batch-size", type=_positive_int,
-        default=queue_mod.DEFAULT_BATCH_SIZE, metavar="N",
-        help="cells claimed per batch "
-        f"(default {queue_mod.DEFAULT_BATCH_SIZE})",
+        default=DEFAULT_BATCH_SIZE, metavar="N",
+        help=f"cells claimed per batch (default {DEFAULT_BATCH_SIZE})",
     )
     worker.add_argument(
-        "--lease", type=_positive_float, default=queue_mod.DEFAULT_LEASE_S,
+        "--lease", type=_positive_float, default=DEFAULT_LEASE_S,
         metavar="S",
         help="seconds a claim stays valid without a heartbeat renewal "
-        f"(default {queue_mod.DEFAULT_LEASE_S:g}; a crashed worker's "
+        f"(default {DEFAULT_LEASE_S:g}; a crashed worker's "
         "cells are reclaimed after this long)",
     )
     worker.add_argument(
@@ -644,6 +647,8 @@ def _cmd_artifact(args: argparse.Namespace,
         if not args.stream:
             print(_render_outputs(final.results, args.fmt))
         if ctx.record_path:
+            from repro.eval.runs import record_from_artifacts
+
             record = record_from_artifacts(
                 command="artifact",
                 results=final.results,
@@ -659,10 +664,12 @@ def _cmd_artifact(args: argparse.Namespace,
 
 
 def _sweep_spec(args: argparse.Namespace,
-                parser: argparse.ArgumentParser) -> sweeps.SweepSpec:
+                parser: argparse.ArgumentParser) -> SweepSpec:
     """The sweep spec of the flags the user set (``repro sweep`` and
     ``repro queue fill``): every flag is named after its spec key, and
     every rule and default is :mod:`repro.eval.sweeps`'s."""
+    from repro.eval import sweeps
+
     data: Dict[str, Any] = {}
     for key in sweeps.SWEEP_KEYS:
         value = getattr(args, key)
@@ -800,6 +807,8 @@ def _cmd_cache(args: argparse.Namespace,
 
 def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
+    from repro.serve.server import serve
+
     ctx = EngineContext.create(
         cache_dir=_resolve_cache_dir(args.cache_dir),
         cache_backend=args.cache_backend,
@@ -808,7 +817,7 @@ def _cmd_serve(args: argparse.Namespace,
     # path; this is the belt-and-braces close for failures before the
     # loop starts (both are idempotent).
     with closing(ctx.engine):
-        return run_serve(
+        return serve(
             ctx,
             host=args.host,
             port=args.port,
@@ -829,6 +838,8 @@ def _queue_location(
     estimator fingerprint's (``require_fingerprint``); ``stats`` and
     ``requeue`` are pure queue upkeep and accept any queue file.
     """
+    from repro.eval.queue import queue_db_path
+
     fingerprint = cache_mod.estimator_fingerprint(Estimator())
     if args.queue_db:
         path = Path(args.queue_db)
@@ -843,11 +854,11 @@ def _queue_location(
     directory = _resolve_cache_dir(
         args.cache_dir, fallback_to_default=True
     )
-    path = queue_mod.queue_db_path(directory, fingerprint)
+    path = queue_db_path(directory, fingerprint)
     return path, (fingerprint if require_fingerprint else None)
 
 
-def _print_queue_stats(store: queue_mod.JobStore) -> None:
+def _print_queue_stats(store: JobStore) -> None:
     stats = store.stats()
     print(f"queue: {store.path}")
     print(
@@ -861,6 +872,9 @@ def _print_queue_stats(store: queue_mod.JobStore) -> None:
 
 def _cmd_queue(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
+    from repro.eval import sweeps
+    from repro.eval.queue import JobStore
+
     if args.action != "fill":
         for key in sweeps.SWEEP_KEYS:
             if getattr(args, key) is not None:
@@ -886,7 +900,7 @@ def _cmd_queue(args: argparse.Namespace,
             f"no queue database at {path}; run 'repro queue fill' first"
         )
     try:
-        with queue_mod.JobStore(path, fingerprint) as store:
+        with JobStore(path, fingerprint) as store:
             if args.action == "fill":
                 summary = store.fill(pairs)
                 print(
@@ -906,6 +920,8 @@ def _cmd_queue(args: argparse.Namespace,
 
 def _cmd_worker(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
+    from repro.eval.queue import JobStore, default_worker_id
+
     path, fingerprint = _queue_location(
         args, parser, require_fingerprint=True
     )
@@ -915,7 +931,7 @@ def _cmd_worker(args: argparse.Namespace,
         )
     worker_id = (
         args.worker_id if args.worker_id
-        else queue_mod.default_worker_id()
+        else default_worker_id()
     )
     # The worker's persistent cache IS the queue database: sqlite
     # backend, cache dir = the queue file's directory, so results are
@@ -930,7 +946,7 @@ def _cmd_worker(args: argparse.Namespace,
     start = time.perf_counter()
     with closing(ctx.engine):
         try:
-            store = queue_mod.JobStore(path, fingerprint)
+            store = JobStore(path, fingerprint)
         except QueueError as error:
             parser.error(str(error))
         with store:
@@ -981,6 +997,8 @@ def _cmd_worker(args: argparse.Namespace,
                 f"claimed, {final.done} done, {final.failed} failed"
             )
             if ctx.record_path:
+                from repro.eval.runs import record_from_worker
+
                 record = record_from_worker(
                     command="worker",
                     queue_path=path,
@@ -997,6 +1015,7 @@ def _cmd_worker(args: argparse.Namespace,
 
 def _cmd_list(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
+    known = sorted({key for info in REGISTRY.infos() for key in info.metadata})
     filters = {}
     for item in args.filter:
         key, separator, value = item.partition("=")
@@ -1004,6 +1023,12 @@ def _cmd_list(args: argparse.Namespace,
             parser.error(
                 f"bad --filter {item!r}; expected KEY=VALUE "
                 f"(e.g. sparsity_side=dual)"
+            )
+        if key not in known:
+            # A key no design carries would silently match nothing.
+            parser.error(
+                f"unknown --filter key {key!r}; design metadata keys: "
+                f"{', '.join(known)}"
             )
         filters[key] = _coerce_metadata_value(value)
     infos = REGISTRY.filter(**filters) if filters else REGISTRY.infos()
@@ -1049,6 +1074,8 @@ def _cmd_report(args: argparse.Namespace,
                 f"cannot write {args.output}: {exc.strerror or exc}"
             )
         if ctx.record_path:
+            from repro.eval.runs import record_from_artifacts
+
             record = record_from_artifacts(
                 command="report",
                 results=outcome.results,

@@ -9,15 +9,29 @@ area in um^2, with constants in :mod:`repro.energy.tables` chosen in
 cross-design comparisons are apples-to-apples.
 """
 
-from repro.energy.tables import EnergyAreaTable, default_table
-from repro.energy.plugins import (
-    DramPlugin,
-    EstimationPlugin,
-    LogicPlugin,
-    SramPlugin,
-    default_plugins,
-)
-from repro.energy.estimator import Estimator
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.energy.tables import EnergyAreaTable, default_table
+    from repro.energy.plugins import (
+        DramPlugin,
+        EstimationPlugin,
+        LogicPlugin,
+        SramPlugin,
+        default_plugins,
+    )
+    from repro.energy.estimator import Estimator
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "tables": ("EnergyAreaTable", "default_table"),
+        "plugins": (
+            "DramPlugin", "EstimationPlugin", "LogicPlugin", "SramPlugin",
+            "default_plugins",
+        ),
+        "estimator": ("Estimator",),
+    })
 
 __all__ = [
     "EnergyAreaTable",

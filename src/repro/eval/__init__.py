@@ -14,25 +14,45 @@ same rows/series the paper reports, and :mod:`repro.eval.runs`
 snapshots whole sweep invocations as JSON run records.
 """
 
-from repro.eval.harness import (
-    best_metrics,
-    evaluate_cell,
-    evaluate_workload,
-    realize_workloads,
-    workload_for_layer,
-)
-from repro.eval.cache import PersistentCache, estimator_fingerprint
-from repro.eval.engine import Cell, SweepEngine, SweepResult, grid_cells
-from repro.eval.pareto import pareto_frontier, is_on_frontier
-from repro.eval.queue import JobStore, LeaseHeartbeat, queue_db_path
-from repro.eval.runs import (
-    RunRecord,
-    load_record,
-    record_from_model_sweep,
-    record_from_sweep,
-    record_from_worker,
-)
-from repro.eval import experiments, reporting
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.eval.harness import (
+        best_metrics,
+        evaluate_cell,
+        evaluate_workload,
+        realize_workloads,
+        workload_for_layer,
+    )
+    from repro.eval.cache import PersistentCache, estimator_fingerprint
+    from repro.eval.engine import Cell, SweepEngine, SweepResult, grid_cells
+    from repro.eval.pareto import pareto_frontier, is_on_frontier
+    from repro.eval.queue import JobStore, LeaseHeartbeat, queue_db_path
+    from repro.eval.runs import (
+        RunRecord,
+        load_record,
+        record_from_model_sweep,
+        record_from_sweep,
+        record_from_worker,
+    )
+    from repro.eval import experiments, reporting
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "harness": (
+            "best_metrics", "evaluate_cell", "evaluate_workload",
+            "realize_workloads", "workload_for_layer",
+        ),
+        "cache": ("PersistentCache", "estimator_fingerprint"),
+        "engine": ("Cell", "SweepEngine", "SweepResult", "grid_cells"),
+        "pareto": ("pareto_frontier", "is_on_frontier"),
+        "queue": ("JobStore", "LeaseHeartbeat", "queue_db_path"),
+        "runs": (
+            "RunRecord", "load_record", "record_from_model_sweep",
+            "record_from_sweep", "record_from_worker",
+        ),
+    }, submodules=("experiments", "reporting"))
 
 __all__ = [
     "best_metrics",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import sqlite3
 import threading
 import time
@@ -56,20 +55,13 @@ from typing import (
     Tuple,
 )
 
-from repro import serialization as S
+from repro.defaults import DEFAULT_BATCH_SIZE, DEFAULT_LEASE_S
 from repro.errors import QueueError
 from repro.eval import cache as cache_mod
 from repro.model.workload import MatmulWorkload
 
 #: Job lifecycle states, as stored in the ``jobs.status`` column.
 JOB_STATUSES = ("pending", "claimed", "done", "failed")
-
-#: Default seconds a claim's lease lasts before the cell counts as
-#: stale and may be reclaimed; workers renew well within this.
-DEFAULT_LEASE_S = 60.0
-
-#: Default cells per ``claim_batch``.
-DEFAULT_BATCH_SIZE = 64
 
 #: The queue's own tables, created next to the cache store's
 #: ``meta``/``entries`` tables inside one ``<fingerprint>.db``. The
@@ -94,6 +86,8 @@ QUEUE_SCHEMA = (
 def default_worker_id() -> str:
     """``<hostname>-<pid>``: unique enough across a fleet, and
     readable in ``queue stats`` / run records."""
+    import socket
+
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
@@ -263,6 +257,8 @@ class JobStore:
         work); cells already queued — any status — are left untouched,
         so re-filling an overlapping grid is idempotent.
         """
+        from repro.serialization import workload_to_dict
+
         staged: Dict[str, Tuple[str, MatmulWorkload]] = {}
         for design, workload in pairs:
             workload = workload.stripped
@@ -279,7 +275,7 @@ class JobStore:
                 (
                     digest,
                     design,
-                    json.dumps(S.workload_to_dict(workload)),
+                    json.dumps(workload_to_dict(workload)),
                 )
                 for digest, (design, workload) in staged.items()
                 if digest not in cached and digest not in queued
@@ -357,6 +353,8 @@ class JobStore:
         one ``BEGIN IMMEDIATE`` transaction, so concurrent workers
         partition the queue instead of double-claiming.
         """
+        from repro.serialization import workload_from_dict
+
         if limit < 1:
             raise QueueError(f"claim limit must be >= 1, got {limit}")
         now = self.clock()
@@ -395,7 +393,7 @@ class JobStore:
             Job(
                 digest=digest,
                 design=design,
-                workload=S.workload_from_dict(json.loads(payload)),
+                workload=workload_from_dict(json.loads(payload)),
                 attempts=attempts + 1,
             )
             for digest, design, payload, attempts in rows

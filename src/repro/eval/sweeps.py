@@ -32,7 +32,6 @@ from repro.accelerators import REGISTRY, main_design_names
 from repro.dnn.models import DnnModel, get_model, model_from_dict
 from repro.errors import WorkloadError
 from repro.eval import experiments as E
-from repro.eval import queue as queue_mod
 from repro.eval import reporting as R
 from repro.eval.engine import EngineContext, EngineStats, SweepResult
 from repro.eval.runs import (
@@ -100,6 +99,8 @@ class SweepSpec:
     def pairs(self) -> List[Tuple[str, MatmulWorkload]]:
         """The (design, workload) cells a queue fill enqueues — the
         pair set :meth:`run` would evaluate."""
+        from repro.eval import queue as queue_mod
+
         if self.model is not None:
             return queue_mod.model_fill_pairs(
                 self.model, self.designs, degrees=self.degrees,

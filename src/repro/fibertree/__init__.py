@@ -15,11 +15,24 @@ This package provides:
 * :func:`render` — a text rendering of small trees for docs and debugging.
 """
 
-from repro.fibertree.fiber import Fiber
-from repro.fibertree.tensor import FiberTensor
-from repro.fibertree.builders import from_dense
-from repro.fibertree.transform import flatten, partition, reorder
-from repro.fibertree.pretty import render
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.fibertree.fiber import Fiber
+    from repro.fibertree.tensor import FiberTensor
+    from repro.fibertree.builders import from_dense
+    from repro.fibertree.transform import flatten, partition, reorder
+    from repro.fibertree.pretty import render
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "fiber": ("Fiber",),
+        "tensor": ("FiberTensor",),
+        "builders": ("from_dense",),
+        "transform": ("flatten", "partition", "reorder"),
+        "pretty": ("render",),
+    })
 
 __all__ = [
     "Fiber",

@@ -15,23 +15,42 @@ The model follows the Sparseloop methodology the paper uses [54]:
    scheduled compute and utilization (:mod:`repro.model.perf`).
 """
 
-from repro.model.workload import (
-    MatmulWorkload,
-    OperandSparsity,
-    dense_operand,
-    hss_operand,
-    structured_operand,
-    unstructured_operand,
-)
-from repro.model.metrics import Metrics, normalize
-from repro.model.density import (
-    balance_efficiency,
-    highlight_supported_density,
-    s2ta_quantized_density,
-    stc_effective_density,
-)
-from repro.model.dataflow import Loop, Loopnest, highlight_loopnest
-from repro.model.mapping import Mapping, best_mapping, dram_traffic_vs_glb
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.model.workload import (
+        MatmulWorkload,
+        OperandSparsity,
+        dense_operand,
+        hss_operand,
+        structured_operand,
+        unstructured_operand,
+    )
+    from repro.model.metrics import Metrics, normalize
+    from repro.model.density import (
+        balance_efficiency,
+        highlight_supported_density,
+        s2ta_quantized_density,
+        stc_effective_density,
+    )
+    from repro.model.dataflow import Loop, Loopnest, highlight_loopnest
+    from repro.model.mapping import Mapping, best_mapping, dram_traffic_vs_glb
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "workload": (
+            "MatmulWorkload", "OperandSparsity", "dense_operand",
+            "hss_operand", "structured_operand", "unstructured_operand",
+        ),
+        "metrics": ("Metrics", "normalize"),
+        "density": (
+            "balance_efficiency", "highlight_supported_density",
+            "s2ta_quantized_density", "stc_effective_density",
+        ),
+        "dataflow": ("Loop", "Loopnest", "highlight_loopnest"),
+        "mapping": ("Mapping", "best_mapping", "dram_traffic_vs_glb"),
+    })
 
 __all__ = [
     "MatmulWorkload",

@@ -16,8 +16,18 @@ Public surface:
 * :mod:`~repro.serve.coalescing` — the in-flight run broker.
 """
 
-from repro.serve.coalescing import InflightRun, RunBroker
-from repro.serve.server import DEFAULT_PORT, EvaluationService, serve
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.serve.coalescing import InflightRun, RunBroker
+    from repro.serve.server import DEFAULT_PORT, EvaluationService, serve
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "coalescing": ("InflightRun", "RunBroker"),
+        "server": ("DEFAULT_PORT", "EvaluationService", "serve"),
+    })
 
 __all__ = [
     "DEFAULT_PORT",

@@ -12,12 +12,30 @@ float64, and its step/access counts validate the analytical model's
 cycle and activity counting.
 """
 
-from repro.sim.config import SimConfig
-from repro.sim.glb import GlobalBuffer
-from repro.sim.vfmu import VariableFetchManagementUnit
-from repro.sim.pe import ProcessingElement
-from repro.sim.simulator import HighLightSimulator, SimStats, simulate_matmul
-from repro.sim.dsso import DssoStats, simulate_dsso_matmul
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.sim.config import SimConfig
+    from repro.sim.glb import GlobalBuffer
+    from repro.sim.vfmu import VariableFetchManagementUnit
+    from repro.sim.pe import ProcessingElement
+    from repro.sim.simulator import (
+        HighLightSimulator,
+        SimStats,
+        simulate_matmul,
+    )
+    from repro.sim.dsso import DssoStats, simulate_dsso_matmul
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "config": ("SimConfig",),
+        "glb": ("GlobalBuffer",),
+        "vfmu": ("VariableFetchManagementUnit",),
+        "pe": ("ProcessingElement",),
+        "simulator": ("HighLightSimulator", "SimStats", "simulate_matmul"),
+        "dsso": ("DssoStats", "simulate_dsso_matmul"),
+    })
 
 __all__ = [
     "SimConfig",

@@ -16,23 +16,50 @@ Public surface:
 * :func:`conforms` / :func:`measure_sparsity` — conformance checking.
 """
 
-from repro.sparsity.pattern import GH, GHRange, Unconstrained, Dense
-from repro.sparsity.spec import RankSpec, SparsitySpec, parse_spec
-from repro.sparsity.hss import (
-    HSSPattern,
-    compose_densities,
-    mux_cost,
-    supported_degrees,
-)
-from repro.sparsity.sparsify import (
-    random_hss_matrix,
-    scaled_l2_norm,
-    sparsify,
-    sparsify_unstructured,
-)
-from repro.sparsity.analyze import conforms, conformance_report, measure_sparsity
-from repro.sparsity.apply import apply_spec
-from repro.sparsity import library
+from typing import TYPE_CHECKING
+
+# ``sparsify`` names both a submodule and the function exported here.
+# Importing the submodule binds the module on this package over any
+# lazily bound name, so the function is bound eagerly.
+from repro.sparsity.sparsify import sparsify
+
+if TYPE_CHECKING:
+    from repro.sparsity.pattern import GH, GHRange, Unconstrained, Dense
+    from repro.sparsity.spec import RankSpec, SparsitySpec, parse_spec
+    from repro.sparsity.hss import (
+        HSSPattern,
+        compose_densities,
+        mux_cost,
+        supported_degrees,
+    )
+    from repro.sparsity.sparsify import (
+        random_hss_matrix,
+        scaled_l2_norm,
+        sparsify_unstructured,
+    )
+    from repro.sparsity.analyze import (
+        conforms,
+        conformance_report,
+        measure_sparsity,
+    )
+    from repro.sparsity.apply import apply_spec
+    from repro.sparsity import library
+else:
+    from repro import _lazy
+
+    __getattr__, __dir__ = _lazy.attach(__name__, {
+        "pattern": ("GH", "GHRange", "Unconstrained", "Dense"),
+        "spec": ("RankSpec", "SparsitySpec", "parse_spec"),
+        "hss": (
+            "HSSPattern", "compose_densities", "mux_cost",
+            "supported_degrees",
+        ),
+        "sparsify": (
+            "random_hss_matrix", "scaled_l2_norm", "sparsify_unstructured",
+        ),
+        "analyze": ("conforms", "conformance_report", "measure_sparsity"),
+        "apply": ("apply_spec",),
+    }, submodules=("library",))
 
 __all__ = [
     "GH",

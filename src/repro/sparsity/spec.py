@@ -16,12 +16,11 @@ partitioned ranks (``C`` split into ``C1``/``C0``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SpecificationError
-from repro.fibertree import FiberTensor, from_dense, flatten, partition, reorder
 from repro.sparsity.pattern import (
     GH,
     Dense,
@@ -29,6 +28,9 @@ from repro.sparsity.pattern import (
     Unconstrained,
     parse_rule,
 )
+
+if TYPE_CHECKING:
+    from repro.fibertree import FiberTensor
 
 Rule = Union[Dense, Unconstrained, GH, GHRange]
 
@@ -151,6 +153,9 @@ def weight_tensor_spec_view(
     given lowest-rank-first (e.g. ``h_values=(4, 4)`` reproduces the
     ``RS->C2->C1->C0`` view of Fig. 5 with fiber shapes 4 at C0 and C1).
     """
+    # Deferred: parsing and printing specs (Table 2) needs no fibertree.
+    from repro.fibertree import from_dense, flatten, partition, reorder
+
     if weights.ndim != 3:
         raise SpecificationError(
             f"expected a (C, R, S) tensor, got {weights.ndim} dims"

@@ -104,6 +104,35 @@ class TestCli:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_import_loads_only_what_every_command_needs(self):
+        """``import repro.cli`` leaves the service (and asyncio), the
+        simulator, the fibertree, the fine-tuning pipeline, the job
+        queue and the linter unloaded; ``import repro`` loads neither
+        numpy nor any subpackage."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m == 'numpy' or m.startswith('numpy.')\n"
+            "             or getattr(sys.modules[m], '__path__', None)\n"
+            "             and m.startswith('repro.')))\n"
+            "import repro.cli\n"
+            "lazy = ('asyncio', 'repro.serve', 'repro.sim',\n"
+            "        'repro.fibertree', 'repro.pruning.finetune',\n"
+            "        'repro.eval.queue', 'repro.analysis')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if any(m == n or m.startswith(n + '.')\n"
+            "                    for n in lazy)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.splitlines() == ["[]", "[]"]
+
     @pytest.mark.parametrize(
         "option", (["--jobs", "2"], ["--backend", "thread"]),
         ids=("jobs", "backend"),
@@ -750,6 +779,29 @@ class TestListSubcommand:
     def test_bad_filter_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["list", "--filter", "nonsense"])
+
+    def test_unknown_filter_key_is_a_usage_error(self, capsys):
+        """A key no registered design carries would match nothing and
+        print an empty table; it must fail and name the real keys."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["list", "--filter", "side=dual"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            "repro: error: unknown --filter key 'side'; design metadata "
+            "keys: category, main_evaluation, sparsity_side, study, "
+            "table4_order"
+        ) in err
+
+    def test_known_filter_key_matching_nothing_lists_no_design(
+        self, capsys
+    ):
+        assert main(["list", "--filter", "sparsity_side=nowhere"]) == 0
+        out = capsys.readouterr().out
+        designs = out.split("\n\nArtifacts")[0]
+        for name in ("TC", "STC", "S2TA", "DSTC", "HighLight", "DSSO"):
+            assert name not in designs
+        assert "Artifacts" in out
 
 
 class TestSingleEvaluationRegression:

@@ -272,7 +272,8 @@ class TestSweepSpec:
 
     def test_sweeps_module_leaves_serve_and_asyncio_unloaded(self):
         """The sweep spec lives in the eval layer: parsing one pulls in
-        neither the service nor its event loop."""
+        neither the service nor its event loop, nor the job queue (only
+        ``SweepSpec.pairs`` needs it)."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         code = (
@@ -280,7 +281,8 @@ class TestSweepSpec:
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'asyncio' or m.startswith('asyncio.')\n"
             "             or m == 'repro.serve'\n"
-            "             or m.startswith('repro.serve.')))"
+            "             or m.startswith('repro.serve.')\n"
+            "             or m == 'repro.eval.queue'))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, check=True,

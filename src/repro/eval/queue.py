@@ -29,6 +29,14 @@ Semantics:
   rows still claimed by the calling worker; a worker whose lease was
   stolen cannot clobber the new owner's state.
 
+A job row stores its cell as key columns (``design``, ``m``, ``k``,
+``n`` and the operand texts ``a``, ``b``; see :func:`operand_text`),
+so a claim decodes through two small memos to the same shared
+operand and workload instances every other row with those columns
+gets. A ``jobs`` table in the older layout (one ``workload`` JSON
+column) is refused with a :class:`~repro.errors.QueueError`: drop the
+table and re-run the fill, which skips every cell already cached.
+
 The queue lives in the same database file as the persistent cache, so
 ``repro cache stats`` sees it, ``repro cache merge`` folds the filled
 ``entries`` into other shards, and the fingerprint meta row guards
@@ -37,12 +45,12 @@ workers against filling a grid with a mismatched cost model.
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import (
     Any,
@@ -56,31 +64,115 @@ from typing import (
 )
 
 from repro.defaults import DEFAULT_BATCH_SIZE, DEFAULT_LEASE_S
-from repro.errors import QueueError
+from repro.errors import QueueError, ReproError
 from repro.eval import cache as cache_mod
-from repro.model.workload import MatmulWorkload
+from repro.model.workload import (
+    MatmulWorkload,
+    OperandSparsity,
+    Structure,
+)
+from repro.sparsity.hss import HSSPattern
 
 #: Job lifecycle states, as stored in the ``jobs.status`` column.
 JOB_STATUSES = ("pending", "claimed", "done", "failed")
 
-#: The queue's own tables, created next to the cache store's
-#: ``meta``/``entries`` tables inside one ``<fingerprint>.db``. The
-#: ``workload`` column holds the serialized
-#: :func:`repro.serialization.workload_to_dict` JSON; ``digest`` is the
-#: cache layer's :func:`~repro.eval.cache.pair_digest`, so queue rows
-#: and cache entries share one key space.
-QUEUE_SCHEMA = (
+#: The queue's own table, created next to the cache store's
+#: ``meta``/``entries`` tables inside one ``<fingerprint>.db``. A row
+#: holds its cell as key columns: the GEMM shape ``m, k, n`` and each
+#: operand as an :func:`operand_text`. ``digest`` is the cache layer's
+#: :func:`~repro.eval.cache.pair_digest`, so queue rows and cache
+#: entries share one key space.
+QUEUE_TABLE = (
     "CREATE TABLE IF NOT EXISTS jobs ("
     " digest TEXT PRIMARY KEY,"
     " design TEXT NOT NULL,"
-    " workload TEXT NOT NULL,"
+    " m INTEGER NOT NULL,"
+    " k INTEGER NOT NULL,"
+    " n INTEGER NOT NULL,"
+    " a TEXT NOT NULL,"
+    " b TEXT NOT NULL,"
     " status TEXT NOT NULL DEFAULT 'pending',"
     " worker TEXT,"
     " lease_until REAL,"
     " attempts INTEGER NOT NULL DEFAULT 0,"
-    " error TEXT)",
-    "CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status)",
+    " error TEXT)"
 )
+
+#: The ``jobs`` columns in table order; a ``jobs`` table with any other
+#: columns is an older layout (see :meth:`JobStore._check_layout`).
+JOB_COLUMNS = (
+    "digest", "design", "m", "k", "n", "a", "b",
+    "status", "worker", "lease_until", "attempts", "error",
+)
+
+#: ``(status)`` index entries are ordered by ``(status, rowid)``, so
+#: each claim select reads its rows straight off the index in rowid
+#: order: no table scan, no sort.
+QUEUE_INDEX = "CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status)"
+
+
+@lru_cache(maxsize=1024)
+def operand_text(operand: OperandSparsity) -> str:
+    """The canonical text of one operand, as the ``jobs.a``/``jobs.b``
+    columns store it: structure, the exact ``repr`` of the float
+    density, then the G:H ranks lowest first, space-separated
+    (``dense 1.0``, ``unstructured 0.4375``, ``hss 0.375 2:4 3:4``).
+
+    The density is the operand's own float, not the quantized key
+    density, so a decoded operand evaluates to bit-identical
+    ``Metrics``. Memoized on the (frozen, hashable) operand: a fill
+    encodes each distinct operand once.
+    """
+    text = f"{operand.structure.value} {operand.density!r}"
+    if operand.pattern is None:
+        return text
+    ranks = " ".join(f"{rank.g}:{rank.h}" for rank in operand.pattern.ranks)
+    return f"{text} {ranks}"
+
+
+@lru_cache(maxsize=1024)
+def operand_from_text(text: str) -> OperandSparsity:
+    """Decode an :func:`operand_text` to a shared, validated operand.
+
+    Memoized like the cold path's realization memo: every claimed cell
+    with the same operand gets one instance, whose ``key()`` and
+    ``describe()`` are computed here, once.
+    """
+    structure, density, *ranks = text.split(" ")
+    try:
+        pattern = (
+            HSSPattern.from_ratios(
+                *(tuple(map(int, rank.split(":"))) for rank in ranks)
+            )
+            if ranks
+            else None
+        )
+        operand = OperandSparsity(
+            float(density), Structure(structure), pattern
+        )
+    except (ReproError, TypeError, ValueError) as error:
+        raise QueueError(
+            f"malformed operand {text!r} in the jobs table: {error}"
+        ) from None
+    operand.key()
+    operand.describe()
+    return operand
+
+
+@lru_cache(maxsize=4096)
+def workload_from_columns(
+    m: int, k: int, n: int, a: str, b: str
+) -> MatmulWorkload:
+    """The shared workload of one ``jobs`` row's key columns, its
+    ``key()`` and ``describe()`` computed here, once: designs that
+    realize a degree pair the same way queue one row each, and all of
+    them evaluate this one instance."""
+    workload = MatmulWorkload(
+        m=m, k=k, n=n, a=operand_from_text(a), b=operand_from_text(b)
+    )
+    workload.key()
+    workload.describe()
+    return workload
 
 
 def default_worker_id() -> str:
@@ -225,13 +317,29 @@ class JobStore:
                 # Explicit transaction control: claim/complete must be
                 # single atomic units, not sqlite3's implicit ones.
                 conn.isolation_level = None
-                for statement in QUEUE_SCHEMA:
-                    conn.execute(statement)
+                conn.execute(QUEUE_TABLE)
+                self._check_layout(conn)
+                conn.execute(QUEUE_INDEX)
             except BaseException:
                 conn.close()
                 raise
             self._conn = conn
         return self._conn
+
+    def _check_layout(self, conn: sqlite3.Connection) -> None:
+        """Refuse a ``jobs`` table in any layout but :data:`JOB_COLUMNS`
+        (e.g. the older one with a ``workload`` JSON column): fail with
+        the remedy instead of with ``sqlite3`` errors mid-drain."""
+        columns = tuple(
+            row[1] for row in conn.execute("PRAGMA table_info(jobs)")
+        )
+        if columns != JOB_COLUMNS:
+            raise QueueError(
+                f"queue database {self.path} holds a jobs table in an "
+                f"older layout (columns {', '.join(columns)}); drop it "
+                f"(sqlite3 {self.path} 'DROP TABLE jobs') and re-run "
+                f"'repro queue fill', which skips cells already cached"
+            )
 
     def close(self) -> None:
         with self._lock:
@@ -257,11 +365,10 @@ class JobStore:
         work); cells already queued — any status — are left untouched,
         so re-filling an overlapping grid is idempotent.
         """
-        from repro.serialization import workload_to_dict
-
         staged: Dict[str, Tuple[str, MatmulWorkload]] = {}
         for design, workload in pairs:
-            workload = workload.stripped
+            # The row stores key columns only, so the display label
+            # needs no stripping: the key already excludes it.
             digest = cache_mod.pair_digest(design, workload.key())
             staged.setdefault(digest, (design, workload))
         if not staged:
@@ -275,7 +382,11 @@ class JobStore:
                 (
                     digest,
                     design,
-                    json.dumps(workload_to_dict(workload)),
+                    workload.m,
+                    workload.k,
+                    workload.n,
+                    operand_text(workload.a),
+                    operand_text(workload.b),
                 )
                 for digest, (design, workload) in staged.items()
                 if digest not in cached and digest not in queued
@@ -292,13 +403,14 @@ class JobStore:
     @staticmethod
     def _insert_pending(
         conn: sqlite3.Connection,
-        rows: List[Tuple[str, str, str]],
+        rows: List[Tuple[str, str, int, int, int, str, str]],
     ) -> None:
         conn.execute("BEGIN IMMEDIATE")
         try:
             conn.executemany(
-                "INSERT OR IGNORE INTO jobs (digest, design, workload)"
-                " VALUES (?, ?, ?)",
+                "INSERT OR IGNORE INTO jobs"
+                " (digest, design, m, k, n, a, b)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
         except BaseException:
@@ -338,6 +450,21 @@ class JobStore:
 
     # --- claiming --------------------------------------------------------
 
+    #: The claim's two selects, each read off the ``jobs_status`` index
+    #: in rowid order. Merged by rowid, they give the same rows in the
+    #: same order as one ``pending OR stale`` select, without that
+    #: select's multi-index OR and its sort of every eligible row.
+    _CLAIM_PENDING = (
+        "SELECT rowid, digest, design, m, k, n, a, b, attempts"
+        " FROM jobs WHERE status = 'pending'"
+        " ORDER BY rowid LIMIT ?"
+    )
+    _CLAIM_STALE = (
+        "SELECT rowid, digest, design, m, k, n, a, b, attempts"
+        " FROM jobs WHERE status = 'claimed' AND lease_until < ?"
+        " ORDER BY rowid LIMIT ?"
+    )
+
     def claim_batch(
         self,
         worker_id: str,
@@ -349,36 +476,36 @@ class JobStore:
 
         Eligible cells are pending rows plus claimed rows whose lease
         has expired (a crashed worker's strays — their ``attempts``
-        counter records the reclaim). The select-and-stamp runs under
-        one ``BEGIN IMMEDIATE`` transaction, so concurrent workers
-        partition the queue instead of double-claiming.
+        counter records the reclaim), oldest row first. The
+        select-and-stamp runs under one ``BEGIN IMMEDIATE``
+        transaction, so concurrent workers partition the queue instead
+        of double-claiming.
         """
-        from repro.serialization import workload_from_dict
-
         if limit < 1:
             raise QueueError(f"claim limit must be >= 1, got {limit}")
         now = self.clock()
 
-        def txn() -> List[Tuple[str, str, str, int]]:
+        def txn() -> List[Tuple[Any, ...]]:
             conn = self._connect_locked()
             conn.execute("BEGIN IMMEDIATE")
             try:
                 rows = conn.execute(
-                    "SELECT digest, design, workload, attempts"
-                    " FROM jobs WHERE status = 'pending'"
-                    " OR (status = 'claimed' AND lease_until < ?)"
-                    " ORDER BY rowid LIMIT ?",
-                    (now, limit),
+                    self._CLAIM_PENDING, (limit,)
                 ).fetchall()
+                stale = conn.execute(
+                    self._CLAIM_STALE, (now, limit)
+                ).fetchall()
+                if stale:
+                    rows = sorted(rows + stale)[:limit]
                 if rows:
                     conn.executemany(
                         "UPDATE jobs SET status = 'claimed',"
                         " worker = ?, lease_until = ?,"
                         " attempts = attempts + 1"
-                        " WHERE digest = ?",
+                        " WHERE rowid = ?",
                         [
-                            (worker_id, now + lease_s, digest)
-                            for digest, _, _, _ in rows
+                            (worker_id, now + lease_s, row[0])
+                            for row in rows
                         ],
                     )
             except BaseException:
@@ -393,10 +520,10 @@ class JobStore:
             Job(
                 digest=digest,
                 design=design,
-                workload=workload_from_dict(json.loads(payload)),
+                workload=workload_from_columns(m, k, n, a, b),
                 attempts=attempts + 1,
             )
-            for digest, design, payload, attempts in rows
+            for _, digest, design, m, k, n, a, b, attempts in rows
         ]
 
     def renew(
@@ -478,6 +605,9 @@ class JobStore:
         sql: str,
         params: Callable[[str], Tuple[Any, ...]],
     ) -> int:
+        """Run ``sql`` with ``params(digest)`` for every digest as one
+        ``executemany`` in one transaction; returns the summed rowcount
+        (the rows the statement's ownership guard let through)."""
         if not digests:
             return 0
 
@@ -485,9 +615,9 @@ class JobStore:
             conn = self._connect_locked()
             conn.execute("BEGIN IMMEDIATE")
             try:
-                moved = 0
-                for digest in digests:
-                    moved += conn.execute(sql, params(digest)).rowcount
+                moved = conn.executemany(
+                    sql, [params(digest) for digest in digests]
+                ).rowcount
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise

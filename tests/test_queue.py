@@ -9,6 +9,7 @@ single-process fill.
 """
 
 import json
+import random
 import sqlite3
 import time
 
@@ -27,6 +28,8 @@ from repro.eval.queue import (
     default_worker_id,
     grid_fill_pairs,
     model_fill_pairs,
+    operand_from_text,
+    operand_text,
     queue_counts,
     queue_db_path,
 )
@@ -38,11 +41,86 @@ A_DEGREES = (0.0, 0.5)
 B_DEGREES = (0.0, 0.5)
 SIZE = 64
 
+#: Every design, over degrees that reach every realization kind: each
+#: canonical HSS pattern (0.5, 0.625, 0.75), G:8 operands (S2TA at
+#: 0.3), unstructured operands (0.3) and dense ones (0.0).
+ALL_DESIGNS = ("TC", "STC", "DSTC", "S2TA", "HighLight", "DSSO")
+EQUIV_A_DEGREES = (0.0, 0.3, 0.5, 0.625, 0.75)
+EQUIV_B_DEGREES = (0.0, 0.3, 0.5)
+
+#: The claim select before it was split in two: the reference the
+#: split claim must reproduce row for row.
+OR_CLAIM_SQL = (
+    "SELECT digest, attempts FROM jobs WHERE status = 'pending'"
+    " OR (status = 'claimed' AND lease_until < ?)"
+    " ORDER BY rowid LIMIT ?"
+)
+
+#: The ``jobs`` table as it was before jobs were stored as key columns.
+OLD_LAYOUT_SQL = (
+    "CREATE TABLE jobs ("
+    " digest TEXT PRIMARY KEY,"
+    " design TEXT NOT NULL,"
+    " workload TEXT NOT NULL,"
+    " status TEXT NOT NULL DEFAULT 'pending',"
+    " worker TEXT,"
+    " lease_until REAL,"
+    " attempts INTEGER NOT NULL DEFAULT 0,"
+    " error TEXT)"
+)
+
 
 def small_grid():
     return grid_fill_pairs(
         DESIGNS, A_DEGREES, B_DEGREES, m=SIZE, k=SIZE, n=SIZE
     )
+
+
+def equivalence_grid():
+    return grid_fill_pairs(
+        ALL_DESIGNS, EQUIV_A_DEGREES, EQUIV_B_DEGREES,
+        m=SIZE, k=SIZE, n=SIZE,
+    )
+
+
+def merged_bytes(tmp_path, directory, fingerprint):
+    """A cache dir consolidated into the canonical digest-sorted JSON
+    format, as bytes: equal bytes mean equal caches."""
+    out = tmp_path / f"merged-{directory.name}"
+    cache_mod.merge_cache_dirs([directory], out, backend="json")
+    return (out / f"{fingerprint}.json").read_bytes()
+
+
+def drain(directory, pairs, estimator):
+    """Fill a fresh queue in ``directory`` with ``pairs`` and drain it
+    with one in-process worker."""
+    fingerprint = estimator_fingerprint(estimator)
+    with JobStore(queue_db_path(directory, fingerprint)) as store:
+        store.fill(pairs)
+        engine = SweepEngine(
+            estimator,
+            cache=PersistentCache.for_estimator(
+                directory, estimator, backend="sqlite"
+            ),
+        )
+        list(engine.run_queue(store, worker_id="w",
+                              batch_size=3, poll_s=0.01))
+        engine.close()
+        assert store.stats().done == store.stats().total
+
+
+def make_old_layout(path):
+    """A queue database whose ``jobs`` table has the older layout (one
+    ``workload`` JSON column), holding one pending row."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(path)
+    conn.execute(OLD_LAYOUT_SQL)
+    conn.execute(
+        "INSERT INTO jobs (digest, design, workload)"
+        " VALUES ('d0', 'TC', '{}')"
+    )
+    conn.commit()
+    conn.close()
 
 
 @pytest.fixture
@@ -170,6 +248,183 @@ class TestClaims:
         assert job.design == "TC"
         assert job.workload.key() == workload.stripped.key()
         assert job.attempts == 1
+
+    def test_claimed_cells_share_decoded_operands(self, store):
+        """Designs that realize a cell alike get one workload instance,
+        and equal operands one operand instance, as on the cold path."""
+        store.fill(equivalence_grid())
+        jobs = store.claim_batch("w", limit=store.stats().total)
+        by_key = {}
+        operands = {}
+        for job in jobs:
+            workload = job.workload
+            assert by_key.setdefault(workload.key(), workload) is workload
+            for operand in (workload.a, workload.b):
+                text = operand_text(operand)
+                assert operands.setdefault(text, operand) is operand
+        assert len(by_key) < len(jobs)
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS)
+    def test_operand_text_roundtrips_exactly(self, design):
+        # 1/3 and 0.1 + 0.2 carry float digits past the key's
+        # quantization: only the exact density round-trips them.
+        for _, workload in grid_fill_pairs(
+            (design,), EQUIV_A_DEGREES + (1 / 3,), (0.1 + 0.2,),
+            m=SIZE, k=SIZE, n=SIZE,
+        ):
+            for operand in (workload.a, workload.b):
+                decoded = operand_from_text(operand_text(operand))
+                # Equal, exact float density included: not merely an
+                # equal (quantized) key.
+                assert decoded == operand
+                assert decoded.density == operand.density
+                assert decoded.describe() == operand.describe()
+
+    @pytest.mark.parametrize(
+        "text", ["hss 0.375", "hss 0.5 2:4 2:4", "dense x", "sparse 1.0"]
+    )
+    def test_malformed_operand_text_is_a_queue_error(self, text):
+        with pytest.raises(QueueError, match="malformed operand"):
+            operand_from_text(text)
+
+
+def _randomize_rows(path, seed, now):
+    """Put every row of a filled queue into a random state: pending,
+    live-claimed, stale-claimed, done or failed, with random attempts
+    (in a shuffled rowid order relative to the states)."""
+    rng = random.Random(seed)
+    conn = sqlite3.connect(path)
+    rowids = [row[0] for row in conn.execute("SELECT rowid FROM jobs")]
+    updates = []
+    for rowid in rowids:
+        state = rng.choice(
+            ("pending", "live", "stale", "done", "failed")
+        )
+        status = {"live": "claimed", "stale": "claimed"}.get(state, state)
+        lease = {
+            "live": now + rng.uniform(1.0, 60.0),
+            "stale": now - rng.uniform(1.0, 60.0),
+        }.get(state)
+        worker = f"w{rng.randrange(3)}" if status == "claimed" else None
+        updates.append(
+            (status, worker, lease, rng.randrange(4), rowid)
+        )
+    conn.executemany(
+        "UPDATE jobs SET status = ?, worker = ?, lease_until = ?,"
+        " attempts = ? WHERE rowid = ?",
+        updates,
+    )
+    conn.commit()
+    conn.close()
+
+
+class TestClaimOrder:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("limit", [1, 3, 17, 1000])
+    def test_split_claim_equals_the_or_claim(self, queue_path, seed,
+                                             limit):
+        """Over random mixes of row states, the two-select claim takes
+        the same digests, in the same order, with the same attempts as
+        the single "pending OR stale" select it replaced."""
+        clock = FakeClock()
+        with JobStore(queue_path, clock=clock) as store:
+            store.fill(equivalence_grid())
+            _randomize_rows(queue_path, seed, clock.now)
+            with sqlite3.connect(queue_path) as reference:
+                expected = [
+                    (digest, attempts + 1)
+                    for digest, attempts in reference.execute(
+                        OR_CLAIM_SQL, (clock.now, limit)
+                    )
+                ]
+            got = store.claim_batch("w-new", limit=limit)
+            assert [(j.digest, j.attempts) for j in got] == expected
+            # The claim stamped exactly those rows.
+            with sqlite3.connect(queue_path) as check:
+                owned = [
+                    digest for (digest,) in check.execute(
+                        "SELECT digest FROM jobs WHERE worker = 'w-new'"
+                        " ORDER BY rowid"
+                    )
+                ]
+            assert owned == [digest for digest, _ in expected]
+
+    @pytest.mark.parametrize(
+        "sql", [JobStore._CLAIM_PENDING, JobStore._CLAIM_STALE]
+    )
+    def test_claim_selects_read_the_index_in_order(self, store,
+                                                   queue_path, sql):
+        store.fill(equivalence_grid())
+        _randomize_rows(queue_path, 0, store.clock())
+        with sqlite3.connect(queue_path) as conn:
+            params = (1.0,) * sql.count("?")
+            plan = " | ".join(
+                row[-1]
+                for row in conn.execute("EXPLAIN QUERY PLAN " + sql,
+                                        params)
+            )
+        assert "jobs_status" in plan, plan
+        assert "MULTI-INDEX OR" not in plan, plan
+        assert "USE TEMP B-TREE" not in plan, plan
+
+
+class TestMixedOwnership:
+    """A batch in which another worker stole some cells: each
+    transition moves only the caller's rows and reports that count."""
+
+    def _split_batch(self, queue_path, clock):
+        store = JobStore(queue_path, clock=clock)
+        store.fill(small_grid())
+        batch = [
+            job.digest
+            for job in store.claim_batch("w-old", limit=5, lease_s=10.0)
+        ]
+        store.renew("w-old", batch[2:], lease_s=100.0)
+        clock.advance(11.0)
+        stolen = [
+            job.digest
+            for job in store.claim_batch("w-new", limit=2, lease_s=30.0)
+        ]
+        assert stolen == batch[:2]
+        return store, batch, stolen
+
+    @staticmethod
+    def _rows(queue_path, digests):
+        with sqlite3.connect(queue_path) as conn:
+            return {
+                digest: conn.execute(
+                    "SELECT status, worker, lease_until, attempts, error"
+                    " FROM jobs WHERE digest = ?",
+                    (digest,),
+                ).fetchone()
+                for digest in digests
+            }
+
+    @pytest.mark.parametrize("op", ["complete", "renew", "fail"])
+    def test_transition_moves_only_owned_rows(self, queue_path, op):
+        clock = FakeClock()
+        store, batch, stolen = self._split_batch(queue_path, clock)
+        with store:
+            before = self._rows(queue_path, stolen)
+            owned = [d for d in batch if d not in stolen]
+            if op == "complete":
+                moved = store.complete("w-old", batch)
+                expected = ("done", "w-old", None, 1, None)
+            elif op == "renew":
+                moved = store.renew("w-old", batch, lease_s=50.0)
+                expected = ("claimed", "w-old", clock.now + 50.0, 1, None)
+            else:
+                moved = store.fail("w-old", batch, "boom")
+                expected = ("failed", "w-old", None, 1, "boom")
+            assert moved == len(owned)
+            assert self._rows(queue_path, stolen) == before
+            assert all(
+                row == ("claimed", "w-new", clock.now + 30.0, 2, None)
+                for row in before.values()
+            )
+            assert set(self._rows(queue_path, owned).values()) == {
+                expected
+            }
 
 
 class TestLeases:
@@ -392,24 +647,25 @@ class TestRunQueue:
     def test_queue_fill_matches_single_process_fill(self, tmp_path,
                                                     estimator):
         """The acceptance criterion: a queue-filled cache is
-        byte-equivalent to a single-process sweep fill."""
+        byte-equivalent to a single-process sweep fill, over every
+        design and every realization kind."""
         fingerprint = estimator_fingerprint(estimator)
         queue_dir = tmp_path / "queued"
         local_dir = tmp_path / "local"
         queue_dir.mkdir()
         local_dir.mkdir()
 
-        with JobStore(queue_db_path(queue_dir, fingerprint)) as store:
-            store.fill(small_grid())
-            engine = SweepEngine(
-                estimator,
-                cache=PersistentCache.for_estimator(
-                    queue_dir, estimator, backend="sqlite"
-                ),
-            )
-            list(engine.run_queue(store, worker_id="w",
-                                  batch_size=3, poll_s=0.01))
-            engine.close()
+        pairs = equivalence_grid()
+        texts = {
+            operand_text(operand)
+            for _, workload in pairs
+            for operand in (workload.a, workload.b)
+        }
+        for reached in ("dense 1.0", "unstructured 0.7",
+                        "hss 0.5 2:4 4:4", "hss 0.375 2:4 3:4",
+                        "hss 0.25 2:4 4:8", "hss 0.75 6:8"):
+            assert reached in texts, sorted(texts)
+        drain(queue_dir, pairs, estimator)
 
         local = SweepEngine(
             estimator,
@@ -417,19 +673,43 @@ class TestRunQueue:
                 local_dir, estimator, backend="sqlite"
             ),
         )
-        local.sweep(DESIGNS, A_DEGREES, B_DEGREES,
+        local.sweep(ALL_DESIGNS, EQUIV_A_DEGREES, EQUIV_B_DEGREES,
                     m=SIZE, k=SIZE, n=SIZE)
         local.close()
 
-        # Canonical byte comparison: consolidate each fill into the
-        # digest-sorted JSON format and compare the files directly.
-        out_a = tmp_path / "merged-queued"
-        out_b = tmp_path / "merged-local"
-        cache_mod.merge_cache_dirs([queue_dir], out_a, backend="json")
-        cache_mod.merge_cache_dirs([local_dir], out_b, backend="json")
-        file_a = out_a / f"{fingerprint}.json"
-        file_b = out_b / f"{fingerprint}.json"
-        assert file_a.read_bytes() == file_b.read_bytes()
+        assert merged_bytes(tmp_path, queue_dir, fingerprint) == (
+            merged_bytes(tmp_path, local_dir, fingerprint)
+        )
+
+    def test_model_queue_fill_matches_sweep_model_fill(self, tmp_path,
+                                                       estimator):
+        from repro.dnn.models import get_model
+        from repro.eval.experiments import sweep_model
+
+        fingerprint = estimator_fingerprint(estimator)
+        queue_dir = tmp_path / "queued"
+        local_dir = tmp_path / "local"
+        model = get_model("DeiT-small")
+        degrees = (0.0, 0.3, 0.625)
+        drain(
+            queue_dir,
+            model_fill_pairs(model, ALL_DESIGNS, degrees),
+            estimator,
+        )
+
+        local = SweepEngine(
+            estimator,
+            cache=PersistentCache.for_estimator(
+                local_dir, estimator, backend="sqlite"
+            ),
+        )
+        sweep_model(model, designs=ALL_DESIGNS, degrees=degrees,
+                    ctx=local)
+        local.close()
+
+        assert merged_bytes(tmp_path, queue_dir, fingerprint) == (
+            merged_bytes(tmp_path, local_dir, fingerprint)
+        )
 
 
 class TestQueueCounts:
@@ -461,6 +741,57 @@ class TestQueueCounts:
             if f["file"] == queue_path.name
         ]
         assert info["queue"]["pending"] == store.stats().pending
+
+
+class TestOldLayout:
+    """A ``jobs`` table in the older layout is refused with the remedy,
+    on every path that opens it, and still counted by ``cache stats``."""
+
+    def test_job_store_refuses_with_the_remedy(self, queue_path):
+        make_old_layout(queue_path)
+        with pytest.raises(QueueError) as caught:
+            JobStore(queue_path)
+        message = str(caught.value)
+        assert str(queue_path) in message
+        assert "DROP TABLE jobs" in message
+        assert "repro queue fill" in message
+        assert "skips cells already cached" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["queue", "fill", "--designs", "TC", "--size", "64"],
+            ["queue", "stats"],
+            ["queue", "requeue"],
+            ["worker", "--poll", "0.01"],
+        ],
+        ids=["fill", "stats", "requeue", "worker"],
+    )
+    def test_cli_refuses_with_the_remedy(self, tmp_path, queue_path,
+                                         capsys, argv):
+        make_old_layout(queue_path)
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "older layout" in err and "DROP TABLE jobs" in err
+        # Refused, not half-migrated: the old row is still there.
+        assert queue_counts(queue_path)["pending"] == 1
+
+    def test_queue_counts_still_reports_it(self, queue_path):
+        make_old_layout(queue_path)
+        counts = queue_counts(queue_path)
+        assert counts["pending"] == 1
+        assert counts["total"] == 1
+
+    def test_cache_stats_still_reports_it(self, tmp_path, queue_path,
+                                          capsys):
+        make_old_layout(queue_path)
+        (info,) = cache_mod.cache_stats(tmp_path)["files"]
+        assert info["queue"]["pending"] == 1
+        assert main(["cache", "stats", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert "queue in" in capsys.readouterr().out
 
 
 class TestBusyRetry:
